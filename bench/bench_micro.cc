@@ -165,8 +165,11 @@ BM_PipelineRun(benchmark::State &state)
 }
 BENCHMARK(BM_PipelineRun);
 
+/** One StreamingEstimator::observe per iteration on crc16 (1022
+ *  latent paths) at 4 cycles per tick, cycling through a simulated
+ *  trace; @p jitter_sigma_ticks widens every path's support window. */
 void
-BM_StreamingObserve(benchmark::State &state)
+streamingObserve(benchmark::State &state, double jitter_sigma_ticks)
 {
     auto workload = workloads::makeCrc16();
     sim::SimConfig config;
@@ -184,15 +187,31 @@ BM_StreamingObserve(benchmark::State &state)
         workload.entryProc(), lowered.procs[workload.entry], config.costs,
         config.policy, 4, no_callees, 2.0 * config.costs.timerRead);
 
+    tomography::EstimatorOptions options;
+    options.jitterSigmaTicks = jitter_sigma_ticks;
     size_t cursor = 0;
-    tomography::StreamingEstimator streaming(model);
+    tomography::StreamingEstimator streaming(model, options);
     for (auto _ : state) {
         streaming.observe(durations[cursor]);
         cursor = (cursor + 1) % durations.size();
     }
     state.SetItemsProcessed(int64_t(state.iterations()));
 }
+
+void
+BM_StreamingObserve(benchmark::State &state)
+{
+    streamingObserve(state, 0.0);
+}
 BENCHMARK(BM_StreamingObserve);
+
+/** Wide windows: 3 ticks of timestamp jitter. */
+void
+BM_StreamingObserveWideWindow(benchmark::State &state)
+{
+    streamingObserve(state, 3.0);
+}
+BENCHMARK(BM_StreamingObserveWideWindow);
 
 } // namespace
 

@@ -321,7 +321,8 @@ TomographyPipeline::relayWith(const sim::LoweredModule &lowered,
 
     // The sink condenses its delivered records into an estimator bank
     // — the same online state a deployed sink holds — and ships that,
-    // not the trace: O(paths + branches) bytes instead of O(records).
+    // not the trace: O(params) bytes per procedure instead of
+    // O(records).
     double nested_probe_cycles = 2.0 * double(config_.sim.costs.timerRead);
     net::EstimatorBank bank(*workload_.module, lowered, config_.sim.costs,
                             config_.sim.policy, config_.sim.cyclesPerTick,

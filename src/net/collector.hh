@@ -17,8 +17,9 @@
  *
  * The EstimatorBank is the standard record sink: one
  * StreamingEstimator per (mote, procedure), created on first record,
- * sharing one TimingModel per procedure across motes. Sink state is
- * O(paths + branches) per active (mote, procedure) pair — exactly the
+ * sharing one TimingModel and one immutable PathTable per procedure
+ * across motes. Sink state is O(params) per active (mote, procedure)
+ * pair, plus one shared PathTable per procedure — exactly the
  * footprint argument the paper makes for estimation-based profiling.
  */
 

@@ -53,8 +53,12 @@ NoiseKernel::prob(int64_t observed_ticks, double true_cycles,
     for (int q = 0; q < 2; ++q) {
         if (quant_mass[q] <= 0.0)
             continue;
-        int64_t j = observed_ticks - quant_ticks[q];
-        if (std::llabs(j) > span && span > 0)
+        // An offset that overflows int64_t lies far outside any span;
+        // so does one past +-span (span 0 leaves the mass to noiseMass).
+        int64_t j;
+        if (__builtin_sub_overflow(observed_ticks, quant_ticks[q], &j))
+            continue;
+        if ((j > span || j < -span) && span > 0)
             continue;
         total += quant_mass[q] * noiseMass(j, sigma);
     }

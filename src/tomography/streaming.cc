@@ -2,16 +2,99 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
 
+#include "obs/metrics.hh"
 #include "util/logging.hh"
 
 namespace ct::tomography {
+
+PathWindow
+PathWindow::build(const NoiseKernel &noise, const std::vector<double> &rewards,
+                  const std::vector<double> &extra_var_ticks2)
+{
+    const size_t paths = rewards.size();
+    std::vector<std::pair<int64_t, int64_t>> spans(paths);
+    for (size_t p = 0; p < paths; ++p)
+        spans[p] = noise.support(rewards[p], extra_var_ticks2[p]);
+    std::vector<uint32_t> order(paths);
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+        return spans[a].first < spans[b].first;
+    });
+
+    PathWindow window;
+    window.lo.reserve(paths);
+    window.hi.reserve(paths);
+    window.path.reserve(paths);
+    for (uint32_t p : order) {
+        window.lo.push_back(spans[p].first);
+        window.hi.push_back(spans[p].second);
+        window.path.push_back(p);
+        window.maxWidth =
+            std::max(window.maxWidth, spans[p].second - spans[p].first);
+    }
+    return window;
+}
+
+void
+PathWindow::candidates(int64_t duration_ticks,
+                       std::vector<uint32_t> &out) const
+{
+    out.clear();
+    // A window containing d starts no earlier than d - maxWidth; below
+    // INT64_MIN + maxWidth that bound saturates.
+    int64_t from;
+    if (__builtin_sub_overflow(duration_ticks, maxWidth, &from))
+        from = std::numeric_limits<int64_t>::min();
+    const size_t first =
+        size_t(std::lower_bound(lo.begin(), lo.end(), from) - lo.begin());
+    const size_t last = size_t(
+        std::upper_bound(lo.begin() + first, lo.end(), duration_ticks) -
+        lo.begin());
+    for (size_t i = first; i < last; ++i)
+        if (hi[i] >= duration_ticks)
+            out.push_back(path[i]);
+    std::sort(out.begin(), out.end());
+}
+
+WindowStats
+PathWindow::stats() const
+{
+    WindowStats out;
+    out.paths = lo.size();
+    if (lo.empty())
+        return out;
+
+    // Sweep the window starts (sorted) against the sorted window ends:
+    // the candidate count steps up at lo and down just past hi.
+    std::vector<int64_t> ends = hi;
+    std::sort(ends.begin(), ends.end());
+    size_t open = 0;
+    size_t e = 0;
+    for (int64_t start : lo) {
+        while (e < ends.size() && ends[e] < start) {
+            --open;
+            ++e;
+        }
+        out.maxCandidates = std::max(out.maxCandidates, ++open);
+    }
+
+    double covered = 0.0;
+    for (size_t i = 0; i < lo.size(); ++i)
+        covered += double(hi[i] - lo[i]) + 1.0;
+    const double range = double(ends.back() - lo.front()) + 1.0;
+    out.meanCandidates = covered / range;
+    return out;
+}
 
 std::shared_ptr<const PathTable>
 PathTable::build(const TimingModel &model, const EstimatorOptions &options)
 {
     auto table = std::make_shared<PathTable>();
     table->paramCount = model.paramCount();
+    table->jitterSigmaTicks = options.jitterSigmaTicks;
 
     // Latent path set, enumerated once under the agnostic prior.
     std::vector<double> prior(model.paramCount(), 0.5);
@@ -27,6 +110,20 @@ PathTable::build(const TimingModel &model, const EstimatorOptions &options)
         table->rewards.push_back(path.reward);
         table->extraVarTicks2.push_back(
             model.pathVarianceCycles(path.states) / (tick * tick));
+    }
+    table->window = PathWindow::build(
+        NoiseKernel(model.cyclesPerTick(), options.jitterSigmaTicks),
+        table->rewards, table->extraVarTicks2);
+
+    if (obs::metricsEnabled()) {
+        WindowStats stats = table->window.stats();
+        auto &m = obs::metrics();
+        m.series("tomography.streaming.window_paths")
+            .append(double(stats.paths));
+        m.series("tomography.streaming.window_max_candidates")
+            .append(double(stats.maxCandidates));
+        m.series("tomography.streaming.window_mean_candidates")
+            .append(stats.meanCandidates);
     }
     return table;
 }
@@ -92,6 +189,9 @@ StreamingEstimator::StreamingEstimator(const TimingModel &model,
     CT_ASSERT(table_->paramCount == model.paramCount(),
               "streaming estimator: path table parameter count mismatch "
               "for '", model.proc().name(), "'");
+    CT_ASSERT(table_->jitterSigmaTicks == options.jitterSigmaTicks,
+              "streaming estimator: path table built for another jitter "
+              "sigma for '", model.proc().name(), "'");
     init(options, step_exponent, forgetting);
 }
 
@@ -107,8 +207,34 @@ StreamingEstimator::init(const EstimatorOptions &, double step_exponent,
     theta_.assign(model_.paramCount(), 0.5);
     statTaken_.assign(model_.paramCount(), 0.0);
     statFall_.assign(model_.paramCount(), 0.0);
-    resp_.assign(table_->pathCount(), 0.0);
 }
+
+namespace {
+
+/**
+ * E-step scratch, one per thread rather than per estimator: a fleet
+ * sink holds 10^5..10^6 estimators but folds observations on a few
+ * worker threads, so per-estimator state stays the O(params) vectors.
+ * Buffers only grow; steady-state observe() does not allocate.
+ */
+struct EStepScratch
+{
+    std::vector<uint32_t> paths;  //!< candidate path indices
+    std::vector<double> resp;     //!< per candidate, unnormalized
+    std::vector<double> logTaken; //!< per param: log(theta)
+    std::vector<double> logFall;  //!< per param: log1p(-theta)
+    std::vector<double> taken;    //!< per param: expected taken count
+    std::vector<double> fall;     //!< per param: expected fall count
+};
+
+EStepScratch &
+eStepScratch()
+{
+    thread_local EStepScratch scratch;
+    return scratch;
+}
+
+} // namespace
 
 void
 StreamingEstimator::observe(int64_t duration_ticks)
@@ -118,15 +244,49 @@ StreamingEstimator::observe(int64_t duration_ticks)
         return;
     }
 
-    // E-step for this single observation.
+    // E-step for this single observation, over the paths whose kernel
+    // support contains the duration; every other path's
+    // responsibility is exactly 0. Candidates come in path order, so
+    // each sum below adds the same terms in the same order as a loop
+    // over all paths (see the file comment).
+    EStepScratch &scratch = eStepScratch();
+    table_->window.candidates(duration_ticks, scratch.paths);
     const auto &features = table_->features;
-    const size_t paths = features.size();
+    const size_t params = theta_.size();
+    const size_t candidates = scratch.paths.size();
+
+    // log(theta) terms of PathFeatures::logProb, hoisted out of the
+    // path loop with its clamp.
+    scratch.logTaken.resize(params);
+    scratch.logFall.resize(params);
+    for (size_t b = 0; b < params; ++b) {
+        double p = std::clamp(theta_[b], 1e-12, 1.0 - 1e-12);
+        scratch.logTaken[b] = std::log(p);
+        scratch.logFall[b] = std::log1p(-p);
+    }
+
+    // A zero kernel makes the responsibility prior * 0 = +0.0 whatever
+    // the (finite) prior, so the prior is only evaluated when needed.
+    scratch.resp.resize(candidates);
     double denom = 0.0;
-    for (size_t p = 0; p < paths; ++p) {
-        double prior = std::exp(features[p].logProb(theta_));
-        resp_[p] = prior * noise_.prob(duration_ticks, table_->rewards[p],
-                                       table_->extraVarTicks2[p]);
-        denom += resp_[p];
+    for (size_t c = 0; c < candidates; ++c) {
+        const uint32_t p = scratch.paths[c];
+        double kernel = noise_.prob(duration_ticks, table_->rewards[p],
+                                    table_->extraVarTicks2[p]);
+        double resp = 0.0;
+        if (kernel > 0.0) {
+            const PathFeatures &f = features[p];
+            double lp = 0.0;
+            for (size_t b = 0; b < params; ++b) {
+                if (f.takenCount[b] > 0)
+                    lp += double(f.takenCount[b]) * scratch.logTaken[b];
+                if (f.fallCount[b] > 0)
+                    lp += double(f.fallCount[b]) * scratch.logFall[b];
+            }
+            resp = std::exp(lp) * kernel;
+        }
+        scratch.resp[c] = resp;
+        denom += resp;
     }
     ++count_;
     if (denom <= 0.0) {
@@ -134,21 +294,26 @@ StreamingEstimator::observe(int64_t duration_ticks)
         return;
     }
 
+    // Expected decision counts under the responsibilities.
+    scratch.taken.assign(params, 0.0);
+    scratch.fall.assign(params, 0.0);
+    for (size_t c = 0; c < candidates; ++c) {
+        const PathFeatures &f = features[scratch.paths[c]];
+        double w = scratch.resp[c] / denom;
+        for (size_t b = 0; b < params; ++b) {
+            scratch.taken[b] += w * f.takenCount[b];
+            scratch.fall[b] += w * f.fallCount[b];
+        }
+    }
+
     // Stochastic-approximation blend of the sufficient statistics.
     // Constant-step ("forgetting") mode tracks drifting environments.
     double rho = forgetting_ > 0.0
                      ? forgetting_
                      : std::pow(double(count_), -stepExponent_);
-    for (size_t b = 0; b < theta_.size(); ++b) {
-        double taken = 0.0;
-        double fall = 0.0;
-        for (size_t p = 0; p < paths; ++p) {
-            double w = resp_[p] / denom;
-            taken += w * features[p].takenCount[b];
-            fall += w * features[p].fallCount[b];
-        }
-        statTaken_[b] = (1.0 - rho) * statTaken_[b] + rho * taken;
-        statFall_[b] = (1.0 - rho) * statFall_[b] + rho * fall;
+    for (size_t b = 0; b < params; ++b) {
+        statTaken_[b] = (1.0 - rho) * statTaken_[b] + rho * scratch.taken[b];
+        statFall_[b] = (1.0 - rho) * statFall_[b] + rho * scratch.fall[b];
 
         double total = statTaken_[b] + statFall_[b];
         // The smoothing pseudo-count shrinks as evidence accumulates.

@@ -4,12 +4,31 @@
  *
  * The batch estimators need the full duration trace in memory. A sink
  * node receiving one timestamp report per packet wants to fold each
- * observation in as it arrives and keep only O(paths + branches) state.
- * This estimator implements stochastic-approximation EM (Cappe &
- * Moulines style): per observation it computes path responsibilities
- * under the current theta and blends the resulting decision counts
- * into exponentially-weighted sufficient statistics with a decaying
- * step size, then re-normalizes theta.
+ * observation in as it arrives and keep little state: O(params) per
+ * (mote, procedure) estimator, plus one immutable PathTable per
+ * procedure shared by every estimator of it. This estimator implements
+ * stochastic-approximation EM (Cappe & Moulines style): per
+ * observation it computes path responsibilities under the current
+ * theta and blends the resulting decision counts into exponentially-
+ * weighted sufficient statistics with a decaying step size, then
+ * re-normalizes theta.
+ *
+ * Support window. The noise kernel has bounded support: path p can
+ * explain a measured duration d only when d lies inside
+ * NoiseKernel::support() of p's reward, [lo_p, hi_p]; everywhere else
+ * its responsibility is exactly 0. The shared PathTable indexes those
+ * intervals once (PathWindow), so observe() evaluates the prior and
+ * the kernel only for the candidate paths whose window contains d —
+ * on loop-heavy procedures a small fraction of the path set.
+ *
+ * Why summation stays in path order. Candidates are visited in
+ * ascending path index, the order the full loop over every path used,
+ * and each skipped path would have contributed an exact +0.0 (theta is
+ * clamped, so every prior is finite and positive, and the kernel is 0
+ * outside the support). Floating-point addition is not associative,
+ * so any other order (by window, or with aliased paths collapsed into
+ * classes) would change the low bits of theta; this order keeps every
+ * estimate, snapshot and digest bitwise equal to the full E-step.
  */
 
 #ifndef CT_TOMOGRAPHY_STREAMING_HH
@@ -22,11 +41,52 @@
 
 namespace ct::tomography {
 
+/** How selective a PathWindow is (estimator health, exported as
+ *  metrics; see docs/OBSERVABILITY.md). */
+struct WindowStats
+{
+    size_t paths = 0;
+    /** Most paths whose support contains any one tick. */
+    size_t maxCandidates = 0;
+    /** Candidates per tick, averaged over every tick from the lowest
+     *  support start to the highest support end. */
+    double meanCandidates = 0.0;
+};
+
+/**
+ * Index of the per-path support windows [lo, hi] (in ticks) of a path
+ * set: entries sorted by lo (ties by path index), so the paths whose
+ * window contains d are among those with lo in [d - maxWidth, d].
+ */
+struct PathWindow
+{
+    std::vector<int64_t> lo;    //!< window starts, ascending
+    std::vector<int64_t> hi;    //!< window end of the same entry
+    std::vector<uint32_t> path; //!< path index of the same entry
+    int64_t maxWidth = 0;       //!< largest hi - lo
+
+    /** Index the windows of @p rewards / @p extra_var_ticks2 (path
+     *  order) under @p noise. */
+    static PathWindow build(const NoiseKernel &noise,
+                            const std::vector<double> &rewards,
+                            const std::vector<double> &extra_var_ticks2);
+
+    /** Replace @p out with the paths whose window contains
+     *  @p duration_ticks, in ascending path order. Any int64_t value
+     *  is valid input. */
+    void candidates(int64_t duration_ticks,
+                    std::vector<uint32_t> &out) const;
+
+    /** Candidate-count summary; O(paths log paths), not for hot paths. */
+    WindowStats stats() const;
+};
+
 /**
  * The latent path set one streaming estimator ranges over: per-path
- * branch-decision features, rewards (cycles), and residual variance.
- * A pure function of (model, options.pathEnum), so every estimator of
- * the same procedure can share one immutable table — at fleet scale
+ * branch-decision features, rewards (cycles), residual variance, and
+ * support windows. A pure function of (model, options.pathEnum,
+ * options.jitterSigmaTicks), so every estimator of the same
+ * procedure can share one immutable table — at fleet scale
  * (one estimator per (mote, procedure), 10^5..10^6 motes) this turns
  * the per-estimator construction cost from a full path enumeration
  * into three vector handles, and the per-estimator footprint into the
@@ -38,11 +98,18 @@ struct PathTable
     std::vector<double> rewards;         //!< per path, cycles
     std::vector<double> extraVarTicks2;  //!< per path
     size_t paramCount = 0;
+    /** The noise model the window was built under. */
+    double jitterSigmaTicks = 0.0;
+    PathWindow window;
 
     size_t pathCount() const { return features.size(); }
 
-    /** Enumerate under the agnostic prior; fatal() when no path fits
-     *  the enumeration bounds (same contract as the estimator ctor). */
+    /**
+     * Enumerate under the agnostic prior and index the support
+     * windows; fatal() when no path fits the enumeration bounds (same
+     * contract as the estimator ctor). With metrics on, records the
+     * window's stats() once per table.
+     */
     static std::shared_ptr<const PathTable>
     build(const TimingModel &model, const EstimatorOptions &options);
 };
@@ -114,8 +181,9 @@ class StreamingEstimator
     /**
      * Same, but adopt an already-built @p table instead of enumerating
      * paths again — the fleet-scale constructor. @p table must have
-     * been built for the same (model, options) pair; paramCount is
-     * checked, deeper mismatches are the caller's contract.
+     * been built for the same (model, options) pair; paramCount and
+     * the jitter the window was built under are checked, deeper
+     * mismatches are the caller's contract.
      */
     StreamingEstimator(const TimingModel &model,
                        std::shared_ptr<const PathTable> table,
@@ -216,8 +284,6 @@ class StreamingEstimator
     std::vector<double> theta_;
     std::vector<double> statTaken_; //!< EW sufficient statistics
     std::vector<double> statFall_;
-    std::vector<double> resp_; //!< per-path E-step scratch (no per-
-                               //!< observation allocation on the hot path)
     uint64_t count_ = 0;
     uint64_t outliers_ = 0;
 };

@@ -1,15 +1,20 @@
 /**
  * @file
  * Tests for the streaming (online EM) estimator: convergence toward the
- * batch estimate, order robustness, outlier counting, memory profile.
+ * batch estimate, order robustness, outlier counting, memory profile,
+ * and the support-windowed E-step's bitwise equality with the full
+ * E-step over every path.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "ir/builder.hh"
+#include "obs/metrics.hh"
 #include "sim/machine.hh"
 #include "tomography/streaming.hh"
 #include "workloads/workload.hh"
@@ -272,4 +277,292 @@ TEST(StreamingDeathTest, BadStepExponentPanics)
     StreamFixture fx("blink", 10);
     EXPECT_DEATH(StreamingEstimator(*fx.model, {}, 0.3), "exponent");
     EXPECT_DEATH(StreamingEstimator(*fx.model, {}, 1.5), "exponent");
+}
+
+namespace {
+
+/**
+ * Streaming EM with the E-step over *every* path and no support
+ * window: the bitwise reference the windowed estimator must
+ * reproduce.
+ */
+struct DenseReference
+{
+    const PathTable &table;
+    NoiseKernel noise;
+    double stepExponent;
+    double forgetting;
+    double smoothing;
+    StreamingState state;
+
+    DenseReference(const PathTable &path_table, const TimingModel &model,
+                   const EstimatorOptions &options, double step_exponent,
+                   double forgetting_step)
+        : table(path_table),
+          noise(model.cyclesPerTick(), options.jitterSigmaTicks),
+          stepExponent(step_exponent), forgetting(forgetting_step),
+          smoothing(options.smoothing)
+    {
+        state.theta.assign(model.paramCount(), 0.5);
+        state.statTaken.assign(model.paramCount(), 0.0);
+        state.statFall.assign(model.paramCount(), 0.0);
+    }
+
+    void observe(int64_t duration_ticks)
+    {
+        auto &theta = state.theta;
+        if (theta.empty()) {
+            ++state.count;
+            return;
+        }
+        const auto &features = table.features;
+        const size_t paths = features.size();
+        std::vector<double> resp(paths);
+        double denom = 0.0;
+        for (size_t p = 0; p < paths; ++p) {
+            double prior = std::exp(features[p].logProb(theta));
+            resp[p] = prior * noise.prob(duration_ticks, table.rewards[p],
+                                         table.extraVarTicks2[p]);
+            denom += resp[p];
+        }
+        ++state.count;
+        if (denom <= 0.0) {
+            ++state.outliers;
+            return;
+        }
+        double rho = forgetting > 0.0
+                         ? forgetting
+                         : std::pow(double(state.count), -stepExponent);
+        for (size_t b = 0; b < theta.size(); ++b) {
+            double taken = 0.0;
+            double fall = 0.0;
+            for (size_t p = 0; p < paths; ++p) {
+                double w = resp[p] / denom;
+                taken += w * features[p].takenCount[b];
+                fall += w * features[p].fallCount[b];
+            }
+            state.statTaken[b] =
+                (1.0 - rho) * state.statTaken[b] + rho * taken;
+            state.statFall[b] = (1.0 - rho) * state.statFall[b] + rho * fall;
+            double total = state.statTaken[b] + state.statFall[b];
+            double s = smoothing / double(state.count);
+            theta[b] = (state.statTaken[b] + s) / (total + 2.0 * s);
+            theta[b] = std::clamp(theta[b], 1e-6, 1.0 - 1e-6);
+        }
+    }
+};
+
+bool
+sameBits(const std::vector<double> &a, const std::vector<double> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i)
+        if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i]))
+            return false;
+    return true;
+}
+
+bool
+sameBits(const StreamingState &a, const StreamingState &b)
+{
+    return a.count == b.count && a.outliers == b.outliers &&
+           sameBits(a.theta, b.theta) &&
+           sameBits(a.statTaken, b.statTaken) &&
+           sameBits(a.statFall, b.statFall);
+}
+
+/** Durations no trace produces: int64_t extremes, negatives, zero, and
+ *  values just and far past either end of @p window's support range. */
+std::vector<int64_t>
+adversarialDurations(const PathWindow &window)
+{
+    constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    const int64_t lowest = window.lo.front();
+    const int64_t highest = *std::max_element(window.hi.begin(),
+                                              window.hi.end());
+    return {kMin,        kMin + 1,          kMax,
+            kMax - 1,    -1,                -1'000'000,
+            0,           lowest - 1,        lowest,
+            highest,     highest + 1,       highest + window.maxWidth + 7,
+            int64_t(1) << 40, -(int64_t(1) << 40)};
+}
+
+/** Every procedure × tick × jitter × schedule of one program. */
+class StreamingWindowOracle : public testing::TestWithParam<std::string>
+{
+};
+
+} // namespace
+
+TEST_P(StreamingWindowOracle, WindowedEStepMatchesDenseBitwise)
+{
+    auto workload = workloads::workloadByName(GetParam());
+    auto lowered = sim::lowerModule(*workload.module);
+    std::vector<double> no_callees(workload.module->procedureCount(), 0.0);
+
+    for (uint64_t ticks : {uint64_t(1), uint64_t(4)}) {
+        sim::SimConfig config;
+        config.cyclesPerTick = ticks;
+        auto inputs = workload.makeInputs(5);
+        sim::Simulator simulator(*workload.module, lowered, config, *inputs,
+                                 6);
+        auto run = simulator.run(workload.entry, 60);
+
+        for (ProcId proc = 0; proc < workload.module->procedureCount();
+             ++proc) {
+            auto durations = run.trace.durations(proc);
+            if (durations.empty())
+                continue;
+            TimingModel model(workload.module->procedure(proc),
+                              lowered.procs[proc], config.costs,
+                              config.policy, ticks, no_callees,
+                              2.0 * config.costs.timerRead);
+
+            for (double jitter : {0.0, 0.5, 3.0}) {
+                EstimatorOptions options;
+                options.jitterSigmaTicks = jitter;
+                auto table = PathTable::build(model, options);
+
+                // Measured durations, each followed by a neighbour up
+                // to one window width away (both window edges and the
+                // second quantization tick), with the adversarial set
+                // at the start and again mid-stream.
+                auto adversarial = adversarialDurations(table->window);
+                std::vector<int64_t> stream = adversarial;
+                Rng rng(proc * 31 + ticks);
+                const int64_t reach = table->window.maxWidth + 2;
+                for (size_t i = 0; i < durations.size(); ++i) {
+                    stream.push_back(durations[i]);
+                    stream.push_back(durations[i] - reach +
+                                     int64_t(rng.below(2 * reach + 1)));
+                    if (i == durations.size() / 2)
+                        stream.insert(stream.end(), adversarial.begin(),
+                                      adversarial.end());
+                }
+
+                for (double forgetting : {0.0, 0.05}) {
+                    StreamingEstimator windowed(model, table, options, 0.7,
+                                                forgetting);
+                    DenseReference dense(*table, model, options, 0.7,
+                                         forgetting);
+                    for (size_t i = 0; i < stream.size(); ++i) {
+                        windowed.observe(stream[i]);
+                        dense.observe(stream[i]);
+                        ASSERT_TRUE(sameBits(windowed.snapshot(), dense.state))
+                            << "proc " << proc << " ticks " << ticks
+                            << " jitter " << jitter << " forgetting "
+                            << forgetting << " observation " << i
+                            << " duration " << stream[i];
+                    }
+                    if (model.paramCount() > 0)
+                        EXPECT_GT(windowed.outliers(), 0u);
+                }
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllWorkloads, StreamingWindowOracle,
+    testing::ValuesIn(workloads::workloadNames()),
+    [](const testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
+
+TEST(StreamingWindow, CandidatesAreExactlyTheContainingWindowsInPathOrder)
+{
+    for (double jitter : {0.0, 3.0}) {
+        StreamFixture fx("crc16", 10, 4);
+        EstimatorOptions options;
+        options.jitterSigmaTicks = jitter;
+        auto table = PathTable::build(*fx.model, options);
+        const PathWindow &window = table->window;
+        NoiseKernel noise(4, jitter);
+
+        std::vector<int64_t> lo(table->pathCount()), hi(table->pathCount());
+        for (size_t p = 0; p < table->pathCount(); ++p)
+            std::tie(lo[p], hi[p]) = noise.support(
+                table->rewards[p], table->extraVarTicks2[p]);
+
+        auto probes = adversarialDurations(window);
+        for (int64_t d = window.lo.front() - 3;
+             d <= *std::max_element(hi.begin(), hi.end()) + 3; ++d)
+            probes.push_back(d);
+
+        std::vector<uint32_t> got;
+        for (int64_t d : probes) {
+            window.candidates(d, got);
+            std::vector<uint32_t> want;
+            for (size_t p = 0; p < lo.size(); ++p) {
+                if (lo[p] <= d && d <= hi[p])
+                    want.push_back(uint32_t(p));
+                else
+                    ASSERT_EQ(noise.prob(d, table->rewards[p],
+                                         table->extraVarTicks2[p]),
+                              0.0)
+                        << "path " << p << " has mass outside its window";
+            }
+            ASSERT_EQ(got, want) << "duration " << d;
+        }
+    }
+}
+
+TEST(StreamingWindow, StatsMatchBruteForce)
+{
+    StreamFixture fx("crc16", 10);
+    auto table = PathTable::build(*fx.model, {});
+    const PathWindow &window = table->window;
+    WindowStats stats = window.stats();
+
+    const int64_t first = window.lo.front();
+    const int64_t last = *std::max_element(window.hi.begin(),
+                                           window.hi.end());
+    size_t max_candidates = 0;
+    double total = 0.0;
+    std::vector<uint32_t> candidates;
+    for (int64_t d = first; d <= last; ++d) {
+        window.candidates(d, candidates);
+        max_candidates = std::max(max_candidates, candidates.size());
+        total += double(candidates.size());
+    }
+    EXPECT_EQ(stats.paths, table->pathCount());
+    EXPECT_EQ(stats.maxCandidates, max_candidates);
+    EXPECT_DOUBLE_EQ(stats.meanCandidates,
+                     total / double(last - first + 1));
+    EXPECT_LT(stats.meanCandidates, double(stats.paths));
+}
+
+TEST(StreamingWindow, StatsRecordedOncePerTableWhenMetricsOn)
+{
+    StreamFixture fx("crc16", 10);
+    obs::metrics().clear();
+    obs::setMetricsEnabled(true);
+    auto table = PathTable::build(*fx.model, {});
+    StreamingEstimator a(*fx.model, table), b(*fx.model, table);
+    a.observeAll(fx.run.trace.durations(fx.workload.entry));
+    b.observeAll(fx.run.trace.durations(fx.workload.entry));
+    obs::setMetricsEnabled(false);
+
+    WindowStats stats = table->window.stats();
+    const auto &series = obs::metrics().allSeries();
+    ASSERT_EQ(series.at("tomography.streaming.window_paths").values(),
+              std::vector<double>{double(stats.paths)});
+    ASSERT_EQ(
+        series.at("tomography.streaming.window_max_candidates").values(),
+        std::vector<double>{double(stats.maxCandidates)});
+    ASSERT_EQ(
+        series.at("tomography.streaming.window_mean_candidates").values(),
+        std::vector<double>{stats.meanCandidates});
+    obs::metrics().clear();
+}
+
+TEST(StreamingDeathTest, TableForAnotherJitterPanics)
+{
+    StreamFixture fx("blink", 10);
+    auto table = PathTable::build(*fx.model, {});
+    EstimatorOptions options;
+    options.jitterSigmaTicks = 1.0;
+    EXPECT_DEATH(StreamingEstimator(*fx.model, table, options), "jitter");
 }
