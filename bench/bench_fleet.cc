@@ -144,8 +144,11 @@ main(int argc, char **argv)
         config.collector.shards = shards;
         config.collector.locking = locking;
         config.collector.storeDir = store;
-        // Group-commit batch large enough that the WAL's fsyncs don't
-        // drown the counter path this configuration measures.
+        // Not group commit: this only caps the records between fsyncs
+        // inside one transfer. runShardedFleet evicts every mote after
+        // its frames, and eviction runs SinkCollector::finalize ->
+        // Store::flush -> fsync, so each mote's transfer still pays one
+        // fsync (records_per_fsync == records per mote).
         config.collector.store.fsyncEveryRecords = 4096;
         config.checkpointAtEnd = !store.empty();
         return fleet::runShardedFleet(workload, config);

@@ -1,5 +1,7 @@
 #include "api/pipeline.hh"
 
+#include <optional>
+
 #include "exec/thread_pool.hh"
 #include "fleet/fleet.hh"
 #include "layout/evaluator.hh"
@@ -517,6 +519,37 @@ TomographyPipeline::runStages()
     // it (they used to lower redundantly, once each).
     auto lowered = sim::lowerModule(*workload_.module);
     result.measureRun = measureWith(lowered);
+
+    // The reference placements need only the true profile, so their
+    // orders are computed now, drawing one Rng stream in the order
+    // natural -> random -> dfs -> perfect (optimize() seeds its own).
+    // Declared before the pool: its workers read them.
+    const auto &module = *workload_.module;
+    Rng rng(config_.seed ^ 0x72616e64);
+    auto reference = [&](layout::LayoutKind kind) {
+        return layout::computeModuleOrders(module, result.measureRun.profile,
+                                           kind, rng);
+    };
+    const auto natural = reference(layout::LayoutKind::Natural);
+    const auto random = reference(layout::LayoutKind::Random);
+    const auto dfs = reference(layout::LayoutKind::Dfs);
+    const auto perfect = reference(layout::LayoutKind::ProfileGuided);
+
+    // Their evaluations run on the pool while this thread estimates.
+    // Each has its own Simulator seeded only by the placement, so
+    // every outcome is bit-identical for any jobs value; with
+    // jobs == 1 each runs inline at submit().
+    exec::ThreadPool pool(config_.jobs);
+    auto submit = [&](const char *name,
+                      const std::vector<sim::BlockOrder> &orders) {
+        return pool.submit(
+            [this, name, &orders] { return evaluate(name, orders); });
+    };
+    auto natural_outcome = submit("natural", natural);
+    auto random_outcome = submit("random", random);
+    auto dfs_outcome = submit("dfs", dfs);
+    auto perfect_outcome = submit("perfect", perfect);
+
     trace::TimingTrace delivered;
     if (config_.transport.enabled) {
         // Estimate from what actually crossed the simulated radio link,
@@ -561,50 +594,24 @@ TomographyPipeline::runStages()
             causalWith(lowered, result.measureRun, result.estimate);
 
     // Budget-constrained selection over the estimate (the chosen mixed
-    // layout joins the evaluation fan-out below as "budget").
+    // layout is evaluated below as "budget").
     if (config_.budget.enabled)
         result.budget = budgetWith(lowered, result.estimate);
 
-    // Candidate placements.
-    Rng rng(config_.seed ^ 0x72616e64);
-    const auto &module = *workload_.module;
-
-    // Orders are computed serially (they share one Rng stream), then
-    // the evaluations — each with its own Simulator, seeded only
-    // by the placement — fan out over the pool. parallelMap writes
-    // outcome i to slot i, so the result is bit-identical to the old
-    // serial loop for every jobs value.
-    struct Candidate
-    {
-        const char *name;
-        std::vector<sim::BlockOrder> orders;
-    };
-    std::vector<Candidate> candidates;
-    candidates.push_back(
-        {"natural",
-         layout::computeModuleOrders(module, result.measureRun.profile,
-                                     layout::LayoutKind::Natural, rng)});
-    candidates.push_back(
-        {"random",
-         layout::computeModuleOrders(module, result.measureRun.profile,
-                                     layout::LayoutKind::Random, rng)});
-    candidates.push_back(
-        {"dfs",
-         layout::computeModuleOrders(module, result.measureRun.profile,
-                                     layout::LayoutKind::Dfs, rng)});
-    candidates.push_back({"tomography", optimize(result.estimate.profile)});
-    candidates.push_back(
-        {"perfect",
-         layout::computeModuleOrders(module, result.measureRun.profile,
-                                     layout::LayoutKind::ProfileGuided, rng)});
+    // The estimate-dependent placements evaluate on this thread.
+    auto tomography =
+        evaluate("tomography", optimize(result.estimate.profile));
+    std::optional<LayoutOutcome> budgeted;
     if (config_.budget.enabled)
-        candidates.push_back({"budget", result.budget.orders});
+        budgeted = evaluate("budget", result.budget.orders);
 
-    exec::ThreadPool pool(config_.jobs);
-    result.outcomes =
-        exec::parallelMap(pool, candidates.size(), [&](size_t i) {
-            return evaluate(candidates[i].name, candidates[i].orders);
-        });
+    result.outcomes.push_back(natural_outcome.get());
+    result.outcomes.push_back(random_outcome.get());
+    result.outcomes.push_back(dfs_outcome.get());
+    result.outcomes.push_back(std::move(tomography));
+    result.outcomes.push_back(perfect_outcome.get());
+    if (budgeted)
+        result.outcomes.push_back(std::move(*budgeted));
 
     if (config_.pgo.enabled) {
         CT_SPAN("pipeline.pgo");

@@ -15,6 +15,13 @@
  *                 and report misprediction rates and cycle counts,
  *                 alongside an oracle placement computed from the true
  *                 profile.
+ *
+ * The reference placements (natural, random, dfs and the "perfect"
+ * oracle) need only the measured profile, so run() submits their
+ * evaluations to the pool right after measure; they overlap estimate
+ * and the opt-in stages on the calling thread, which then optimizes
+ * and evaluates "tomography" (and "budget") itself. Outcomes keep the
+ * order natural, random, dfs, tomography, perfect[, budget].
  */
 
 #ifndef CT_API_PIPELINE_HH
@@ -171,7 +178,8 @@ struct PipelineConfig
     size_t evalInvocations = 5'000;
     uint64_t seed = 1;
     /**
-     * Worker threads for the placement-evaluation fan-out. 0 = auto:
+     * Worker threads for the reference-placement evaluations, which
+     * overlap estimation (see the file comment). 0 = auto:
      * the CT_JOBS environment variable when set, else the hardware
      * thread count. 1 = the exact historical serial path (no worker
      * threads at all). Every evaluation derives its seeds from the

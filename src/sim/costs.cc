@@ -16,48 +16,6 @@ policyName(PredictPolicy policy)
 }
 
 uint64_t
-CostModel::cyclesFor(const ir::Inst &inst) const
-{
-    using ir::Opcode;
-    switch (inst.op) {
-      case Opcode::Nop:
-        return nop;
-      case Opcode::Li:
-      case Opcode::Mov:
-      case Opcode::Add:
-      case Opcode::AddI:
-      case Opcode::Sub:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Shl:
-      case Opcode::Shr:
-      case Opcode::ShrI:
-        return alu;
-      case Opcode::Mul:
-        return mul;
-      case Opcode::Ld:
-        return load;
-      case Opcode::St:
-        return store;
-      case Opcode::Sense:
-        return sense;
-      case Opcode::RadioTx:
-        return radioTx;
-      case Opcode::RadioRx:
-        return radioRx;
-      case Opcode::TimerRead:
-        return timerRead;
-      case Opcode::Sleep:
-        return uint64_t(inst.imm);
-      case Opcode::Call:
-        // The linkage cycles; the callee body is accounted separately.
-        return callOverhead;
-    }
-    panic("cyclesFor: bad opcode ", int(inst.op));
-}
-
-uint64_t
 CostModel::blockBodyCycles(const ir::BasicBlock &bb) const
 {
     uint64_t total = 0;

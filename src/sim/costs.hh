@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "ir/block.hh"
+#include "util/logging.hh"
 
 namespace ct::sim {
 
@@ -60,8 +61,51 @@ struct CostModel
     uint32_t nearCallWindow = 1;
     /// @}
 
-    /** Cycles of one straight-line instruction (Sleep uses its imm). */
-    uint64_t cyclesFor(const ir::Inst &inst) const;
+    /**
+     * Cycles of one straight-line instruction (Sleep uses its imm).
+     * Inline: the simulator calls it once per executed instruction,
+     * right before its own dispatch on the same opcode.
+     */
+    uint64_t cyclesFor(const ir::Inst &inst) const
+    {
+        using ir::Opcode;
+        switch (inst.op) {
+          case Opcode::Nop:
+            return nop;
+          case Opcode::Li:
+          case Opcode::Mov:
+          case Opcode::Add:
+          case Opcode::AddI:
+          case Opcode::Sub:
+          case Opcode::And:
+          case Opcode::Or:
+          case Opcode::Xor:
+          case Opcode::Shl:
+          case Opcode::Shr:
+          case Opcode::ShrI:
+            return alu;
+          case Opcode::Mul:
+            return mul;
+          case Opcode::Ld:
+            return load;
+          case Opcode::St:
+            return store;
+          case Opcode::Sense:
+            return sense;
+          case Opcode::RadioTx:
+            return radioTx;
+          case Opcode::RadioRx:
+            return radioRx;
+          case Opcode::TimerRead:
+            return timerRead;
+          case Opcode::Sleep:
+            return uint64_t(inst.imm);
+          case Opcode::Call:
+            // The linkage cycles; the callee body is accounted separately.
+            return callOverhead;
+        }
+        panic("cyclesFor: bad opcode ", int(inst.op));
+    }
 
     /** Total straight-line cycles of a block (terminator excluded). */
     uint64_t blockBodyCycles(const ir::BasicBlock &bb) const;

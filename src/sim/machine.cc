@@ -16,6 +16,12 @@ Simulator::Simulator(const ir::Module &module, LoweredModule lowered,
 {
     CT_ASSERT(lowered_.procs.size() == module.procedureCount(),
               "lowered module does not match the logical module");
+    size_t total = 0;
+    for (const auto &placed : lowered_.procs) {
+        edgeBase_.push_back(total);
+        total += placed.order.size();
+    }
+    edgeCounts_.resize(total);
 }
 
 RunResult
@@ -30,6 +36,7 @@ Simulator::run(ir::ProcId entry, size_t count)
     result.procCycles.assign(module_.procedureCount(), 0);
 
     std::fill(ram_.begin(), ram_.end(), 0);
+    std::fill(edgeCounts_.begin(), edgeCounts_.end(), EdgeCounts{});
     cycles_ = 0;
 
     for (size_t i = 0; i < count; ++i) {
@@ -42,6 +49,7 @@ Simulator::run(ir::ProcId entry, size_t count)
     }
     result.totalCycles = cycles_;
     result.finalRam = ram_;
+    foldProfile(result);
 
     // Batch-level self-measurement: recorded once per run() so the
     // per-instruction path stays unobserved (and unperturbed).
@@ -57,6 +65,26 @@ Simulator::run(ir::ProcId entry, size_t count)
     return result;
 }
 
+void
+Simulator::foldProfile(RunResult &result) const
+{
+    for (ir::ProcId id = 0; id < lowered_.procs.size(); ++id) {
+        ir::EdgeProfile &profile = result.profile[id];
+        profile.addInvocations(double(result.invocations[id]));
+        const auto &order = lowered_.procs[id].order;
+        const EdgeCounts *counts = edgeCounts_.data() + edgeBase_[id];
+        for (size_t pos = 0; pos < order.size(); ++pos) {
+            const LoweredBlock &lb = order[pos];
+            if (counts[pos].cond)
+                profile.addEdge(lb.block, lb.condTarget,
+                                double(counts[pos].cond));
+            if (counts[pos].other)
+                profile.addEdge(lb.block, lb.otherTarget,
+                                double(counts[pos].other));
+        }
+    }
+}
+
 uint64_t
 Simulator::execProcedure(ir::ProcId proc_id, RunResult &result,
                          uint32_t depth)
@@ -68,9 +96,9 @@ Simulator::execProcedure(ir::ProcId proc_id, RunResult &result,
     const ir::Procedure &proc = module_.procedure(proc_id);
     const LoweredProc &placed = lowered_.procs[proc_id];
     const CostModel &costs = config_.costs;
+    EdgeCounts *edges = edgeCounts_.data() + edgeBase_[proc_id];
 
     uint64_t invocation = result.invocations[proc_id]++;
-    result.profile[proc_id].addInvocations(1.0);
 
     auto spend = [&](uint64_t n, Activity act) {
         cycles_ += n;
@@ -231,13 +259,13 @@ Simulator::execProcedure(ir::ProcId proc_id, RunResult &result,
             running = false;
             break;
           case CtrlKind::Fallthrough:
-            result.profile[proc_id].addEdge(lb.block, lb.otherTarget);
+            ++edges[pos].other;
             pos = pos + 1;
             break;
           case CtrlKind::Jmp:
             spend(costs.jump, Activity::CpuActive);
             ++result.dynamicJumps;
-            result.profile[proc_id].addEdge(lb.block, lb.otherTarget);
+            ++edges[pos].other;
             pos = placed.positionOf[lb.otherTarget];
             break;
           case CtrlKind::CondBr:
@@ -261,6 +289,7 @@ Simulator::execProcedure(ir::ProcId proc_id, RunResult &result,
             ir::BlockId next_block;
             if (transfer) {
                 next_block = lb.condTarget;
+                ++edges[pos].cond;
             } else {
                 next_block = lb.otherTarget;
                 if (lb.ctrl == CtrlKind::CondBrPlusJmp) {
@@ -268,8 +297,8 @@ Simulator::execProcedure(ir::ProcId proc_id, RunResult &result,
                         spend(costs.jump, Activity::CpuActive);
                     ++result.dynamicJumps;
                 }
+                ++edges[pos].other;
             }
-            result.profile[proc_id].addEdge(lb.block, next_block);
             // For CondBr with the transfer untaken, positionOf[next_block]
             // is pos + 1 by construction of the lowering.
             pos = placed.positionOf[next_block];

@@ -120,6 +120,16 @@ class Simulator
     uint64_t execProcedure(ir::ProcId proc, RunResult &result,
                            uint32_t depth);
 
+    /** Traversals out of one lowered block, by successor. */
+    struct EdgeCounts
+    {
+        uint64_t cond = 0;  //!< to LoweredBlock::condTarget
+        uint64_t other = 0; //!< to LoweredBlock::otherTarget
+    };
+
+    /** Fold edgeCounts_ and the invocation counts into result.profile. */
+    void foldProfile(RunResult &result) const;
+
     const ir::Module &module_;
     LoweredModule lowered_;
     SimConfig config_;
@@ -128,6 +138,14 @@ class Simulator
     Rng gapRng_;
     std::vector<ir::Word> ram_;
     uint64_t cycles_ = 0; //!< absolute cycle counter across the run
+    /**
+     * Per (procedure, physical position) edge counters. The per-block
+     * loop only increments these; run() folds them into the profile
+     * once, which gives the same cells as one addEdge per transfer
+     * (every count is an integer below 2^53, so exact as a double).
+     */
+    std::vector<EdgeCounts> edgeCounts_;
+    std::vector<size_t> edgeBase_; //!< ProcId -> first counter
 };
 
 } // namespace ct::sim

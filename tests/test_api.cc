@@ -7,6 +7,8 @@
 
 #include "api/pipeline.hh"
 #include "api/report.hh"
+#include "obs/metrics.hh"
+#include "obs/trace.hh"
 
 using namespace ct;
 using namespace ct::api;
@@ -22,6 +24,35 @@ fastConfig()
     config.sim.cyclesPerTick = 1;
     config.seed = 3;
     return config;
+}
+
+/** Every outcome field and the accuracy vectors, bit for bit. */
+void
+expectSameResult(const PipelineResult &rs, const PipelineResult &rp,
+                 const std::string &name)
+{
+    ASSERT_EQ(rs.outcomes.size(), rp.outcomes.size()) << name;
+    for (size_t i = 0; i < rs.outcomes.size(); ++i) {
+        const auto &a = rs.outcomes[i];
+        const auto &b = rp.outcomes[i];
+        EXPECT_EQ(a.name, b.name) << name;
+        EXPECT_EQ(a.totalCycles, b.totalCycles) << name << "/" << a.name;
+        EXPECT_EQ(a.mispredicted, b.mispredicted) << name << "/" << a.name;
+        EXPECT_EQ(a.branchesExecuted, b.branchesExecuted)
+            << name << "/" << a.name;
+        EXPECT_EQ(a.dynamicJumps, b.dynamicJumps) << name << "/" << a.name;
+        EXPECT_DOUBLE_EQ(a.mispredictRate, b.mispredictRate)
+            << name << "/" << a.name;
+        EXPECT_DOUBLE_EQ(a.takenRate, b.takenRate) << name << "/" << a.name;
+        EXPECT_DOUBLE_EQ(a.energyMicrojoules, b.energyMicrojoules)
+            << name << "/" << a.name;
+    }
+    EXPECT_DOUBLE_EQ(rs.branchMae, rp.branchMae) << name;
+    EXPECT_DOUBLE_EQ(rs.branchMaxError, rp.branchMaxError) << name;
+    EXPECT_EQ(rs.estimatedTheta, rp.estimatedTheta) << name;
+    EXPECT_EQ(rs.trueTheta, rp.trueTheta) << name;
+    EXPECT_EQ(rs.measureRun.totalCycles, rp.measureRun.totalCycles)
+        << name;
 }
 
 } // namespace
@@ -133,32 +164,52 @@ TEST(Pipeline, ResultIdenticalForAnyJobsCount)
         auto rs = serial.run();
         auto rp = parallel.run();
 
-        ASSERT_EQ(rs.outcomes.size(), rp.outcomes.size()) << name;
-        for (size_t i = 0; i < rs.outcomes.size(); ++i) {
-            const auto &a = rs.outcomes[i];
-            const auto &b = rp.outcomes[i];
-            EXPECT_EQ(a.name, b.name) << name;
-            EXPECT_EQ(a.totalCycles, b.totalCycles) << name << "/" << a.name;
-            EXPECT_EQ(a.mispredicted, b.mispredicted)
-                << name << "/" << a.name;
-            EXPECT_EQ(a.branchesExecuted, b.branchesExecuted)
-                << name << "/" << a.name;
-            EXPECT_EQ(a.dynamicJumps, b.dynamicJumps)
-                << name << "/" << a.name;
-            EXPECT_DOUBLE_EQ(a.mispredictRate, b.mispredictRate)
-                << name << "/" << a.name;
-            EXPECT_DOUBLE_EQ(a.takenRate, b.takenRate)
-                << name << "/" << a.name;
-            EXPECT_DOUBLE_EQ(a.energyMicrojoules, b.energyMicrojoules)
-                << name << "/" << a.name;
-        }
-        EXPECT_DOUBLE_EQ(rs.branchMae, rp.branchMae) << name;
-        EXPECT_DOUBLE_EQ(rs.branchMaxError, rp.branchMaxError) << name;
-        EXPECT_EQ(rs.estimatedTheta, rp.estimatedTheta) << name;
-        EXPECT_EQ(rs.trueTheta, rp.trueTheta) << name;
-        EXPECT_EQ(rs.measureRun.totalCycles, rp.measureRun.totalCycles)
-            << name;
+        expectSameResult(rs, rp, name);
     }
+}
+
+TEST(Pipeline, OverlappedStagesMatchSerialWithObsAndBudget)
+{
+    // The reference evaluations run on the pool while the caller
+    // estimates, scores and plans the budget, and all of them write the
+    // metrics registry and the span tracer. A saturated pool must still
+    // reproduce the serial run exactly (the TSan lane runs this too).
+    struct ObsOn
+    {
+        ObsOn()
+        {
+            obs::tracer().setEnabled(true);
+            obs::setMetricsEnabled(true);
+        }
+        ~ObsOn()
+        {
+            obs::tracer().setEnabled(false);
+            obs::tracer().clear();
+            obs::setMetricsEnabled(false);
+            obs::metrics().clear();
+        }
+    } obs_on;
+
+    auto config = fastConfig();
+    config.transport.enabled = true;
+    config.causalProfile.enabled = true;
+    config.budget.enabled = true;
+    config.budget.spec.flashPages = 1;
+    auto serial_config = config;
+    serial_config.jobs = 1;
+    auto parallel_config = config;
+    parallel_config.jobs = 4;
+
+    auto rs = TomographyPipeline(workloads::makeCrc16(), serial_config).run();
+    auto rp =
+        TomographyPipeline(workloads::makeCrc16(), parallel_config).run();
+    ASSERT_EQ(rp.outcomes.size(), 6u);
+    EXPECT_EQ(rp.outcomes.back().name, "budget");
+    expectSameResult(rs, rp, "crc16");
+    EXPECT_EQ(rs.budget.plan.assignment.choice,
+              rp.budget.plan.assignment.choice);
+    EXPECT_EQ(rs.transport.recordsDelivered, rp.transport.recordsDelivered);
+    EXPECT_GE(obs::metrics().histogram("pipeline.evaluate_us").count(), 12u);
 }
 
 TEST(PipelineDeathTest, UnknownOutcomeIsFatal)

@@ -8,9 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <string>
 
+#include "check/golden.hh"
 #include "ir/builder.hh"
+#include "layout/placement.hh"
 #include "sim/machine.hh"
+#include "workloads/workload.hh"
 
 using namespace ct;
 using namespace ct::ir;
@@ -34,6 +39,45 @@ runOnce(const Module &module, ProcId entry, InputSource &inputs,
 {
     Simulator simulator(module, lowerModule(module), config, inputs, 42);
     return simulator.run(entry, count);
+}
+
+/**
+ * Every observable output of one run, one line per field: the totals,
+ * the branch and activity counters, and each procedure's invocation
+ * count and EdgeProfile cells. Counts print with %.17g, so two runs
+ * render equal only if every double is bitwise equal.
+ */
+std::string
+renderRun(const std::string &label, const RunResult &r)
+{
+    auto num = [](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.17g", v);
+        return std::string(buf);
+    };
+    std::string out = "run " + label + "\n";
+    out += "  cycles=" + std::to_string(r.totalCycles) +
+           " insts=" + std::to_string(r.instructions) +
+           " jumps=" + std::to_string(r.dynamicJumps) +
+           " far=" + std::to_string(r.farCalls) +
+           " isr=" + std::to_string(r.isrFirings) +
+           " br=" + std::to_string(r.branches.executed) + "/" +
+           std::to_string(r.branches.taken) + "/" +
+           std::to_string(r.branches.mispredicted) + "\n";
+    out += "  activity=";
+    for (size_t a = 0; a < kActivityCount; ++a)
+        out += (a ? "," : "") + std::to_string(r.activity.cycles[a]);
+    out += "\n";
+    for (ProcId id = 0; id < r.profile.size(); ++id) {
+        const auto &profile = r.profile[id];
+        out += "  proc " + std::to_string(id) +
+               " inv=" + num(profile.invocations()) + " cells=";
+        for (const auto &[edge, count] : profile.cells())
+            out += " " + std::to_string(edge.first) + ">" +
+                   std::to_string(edge.second) + ":" + num(count);
+        out += "\n";
+    }
+    return out;
 }
 
 /** Store every register to RAM so tests can inspect architectural state. */
@@ -485,4 +529,117 @@ TEST(Machine, IdenticalSeedsReproduceExactly)
     EXPECT_EQ(a.totalCycles, b2.totalCycles);
     EXPECT_EQ(a.branches.taken, b2.branches.taken);
     EXPECT_NE(a.branches.taken, c.branches.taken);
+}
+
+namespace {
+
+/**
+ * One procedure whose lowered entry is a CondBr with condTarget ==
+ * otherTarget: the builder refuses identical successors, so the
+ * lowered form is edited after lowering. The condition alternates with
+ * a RAM counter, so both directions execute and land on block 1.
+ */
+RunResult
+runSameTargetCondBr(size_t count, PredictPolicy policy)
+{
+    Module module("m");
+    ProcedureBuilder b(module, "p");
+    auto join = b.newBlock("join");
+    auto other = b.newBlock("other");
+    b.setBlock(0);
+    b.ld(1, 0, 0).addi(1, 1, 1).st(0, 0, 1).li(3, 1).band(4, 1, 3);
+    b.br(CondCode::Eq, 4, 0, other, join);
+    b.setBlock(join);
+    b.ret();
+    b.setBlock(other);
+    b.ret();
+    ProcId id = b.finish();
+
+    LoweredModule lowered = lowerModule(module);
+    LoweredBlock &lb = lowered.procs[id].order[0];
+    EXPECT_EQ(lb.ctrl, CtrlKind::CondBr);
+    EXPECT_EQ(lb.otherTarget, join);
+    lb.condTarget = join;
+
+    SimConfig config;
+    config.policy = policy;
+    ScriptedInputs inputs(1);
+    Simulator simulator(module, std::move(lowered), config, inputs, 11);
+    return simulator.run(id, count);
+}
+
+} // namespace
+
+TEST(Machine, SameTargetCondBrFoldsBothDirectionsIntoOneCell)
+{
+    auto r = runSameTargetCondBr(9, PredictPolicy::NotTaken);
+    EXPECT_EQ(r.branches.executed, 9u);
+    EXPECT_GT(r.branches.taken, 0u);
+    EXPECT_LT(r.branches.taken, 9u);
+    ASSERT_EQ(r.profile[0].cells().size(), 1u);
+    EXPECT_EQ(r.profile[0].edgeCount(0, 1), 9.0);
+    EXPECT_EQ(r.profile[0].invocations(), 9.0);
+}
+
+TEST(Machine, OutputsMatchGolden)
+{
+    // Pins every simulator output — profile cells, invocation counts,
+    // cycles, branch/jump/far-call/ISR counters and activity classes —
+    // over every registry program, three layouts and every prediction
+    // policy, plus an ISR variant, a zero-penalty variant, a far-call
+    // variant and the same-target CondBr. Re-snapshot deliberately
+    // with CT_GOLDEN_UPDATE=1 (docs/TESTING.md).
+    constexpr size_t kInvocations = 300;
+    const PredictPolicy policies[] = {PredictPolicy::NotTaken,
+                                      PredictPolicy::Taken,
+                                      PredictPolicy::BTFN};
+    const layout::LayoutKind layouts[] = {layout::LayoutKind::Natural,
+                                          layout::LayoutKind::Dfs,
+                                          layout::LayoutKind::Random};
+
+    std::string text;
+    auto simulate = [&](const workloads::Workload &w,
+                        const std::vector<BlockOrder> &orders,
+                        const SimConfig &config) {
+        auto inputs = w.makeInputs(5);
+        Simulator simulator(*w.module, lowerModule(*w.module, orders),
+                            config, *inputs, 17);
+        return simulator.run(w.entry, kInvocations);
+    };
+    for (const auto &w : workloads::allWorkloads()) {
+        ir::ModuleProfile empty(w.module->procedureCount());
+        for (auto kind : layouts) {
+            Rng rng(23);
+            auto orders =
+                layout::computeModuleOrders(*w.module, empty, kind, rng);
+            for (auto policy : policies) {
+                SimConfig config;
+                config.policy = policy;
+                text += renderRun(w.name + " " + layout::layoutName(kind) +
+                                      " " + policyName(policy),
+                                  simulate(w, orders, config));
+            }
+        }
+        std::vector<BlockOrder> natural(w.module->procedureCount());
+        SimConfig isr;
+        isr.isrPerBlockProb = 0.05;
+        text += renderRun(w.name + " isr", simulate(w, natural, isr));
+        SimConfig zeroed;
+        zeroed.policy = PredictPolicy::Taken;
+        zeroed.zeroCtrlPenalty.assign(w.module->procedureCount(), 1);
+        text += renderRun(w.name + " zero-penalty",
+                          simulate(w, natural, zeroed));
+        SimConfig far;
+        far.costs.farCallExtra = 4;
+        far.costs.nearCallWindow = 0;
+        text += renderRun(w.name + " far-call", simulate(w, natural, far));
+    }
+    for (auto policy : policies)
+        text += renderRun(std::string("same-target-condbr ") +
+                              policyName(policy),
+                          runSameTargetCondBr(40, policy));
+
+    auto golden = check::compareGolden(
+        std::string(CT_GOLDEN_DIR) + "/sim_profiles.txt", text);
+    EXPECT_TRUE(golden.ok) << golden.message;
 }
