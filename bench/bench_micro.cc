@@ -20,6 +20,7 @@
 #include "markov/paths.hh"
 #include "sim/machine.hh"
 #include "tomography/estimator.hh"
+#include "tomography/path_workspace.hh"
 #include "tomography/streaming.hh"
 #include "workloads/workload.hh"
 
@@ -66,25 +67,6 @@ BM_FundamentalMatrix(benchmark::State &state)
 BENCHMARK(BM_FundamentalMatrix)->Arg(8)->Arg(16)->Arg(32);
 
 void
-BM_PathEnumerationCrc16(benchmark::State &state)
-{
-    auto workload = workloads::makeCrc16();
-    auto lowered = sim::lowerModule(*workload.module);
-    std::vector<double> no_callees(workload.module->procedureCount(), 0.0);
-    tomography::TimingModel model(
-        workload.entryProc(), lowered.procs[workload.entry],
-        sim::telosCostModel(), sim::PredictPolicy::NotTaken, 4, no_callees,
-        4.0);
-    std::vector<double> theta(model.paramCount(), 0.5);
-    auto chain = model.chainFor(theta);
-    for (auto _ : state) {
-        auto paths = markov::enumeratePaths(chain, 0);
-        benchmark::DoNotOptimize(paths.paths.size());
-    }
-}
-BENCHMARK(BM_PathEnumerationCrc16);
-
-void
 BM_Estimator(benchmark::State &state)
 {
     auto kind = tomography::EstimatorKind(state.range(0));
@@ -113,9 +95,10 @@ BENCHMARK(BM_Estimator)
     ->Arg(int(tomography::EstimatorKind::Moment));
 
 /**
- * The EM solve alone on a prebuilt trace: dominated by the E-step over
- * the flattened kernel — the hot loop the contiguous-kernel +
- * responsibility-hoisting optimization targets.
+ * The whole-module EM fit of crc16 on a prebuilt trace at 4 cycles per
+ * tick: per procedure, two path-set builds (the second re-enumerates
+ * 7153 paths on the entry procedure), one exp per decision signature
+ * per iteration, and the E- and M-steps.
  */
 void
 BM_EmSolveCrc16(benchmark::State &state)
@@ -140,6 +123,81 @@ BM_EmSolveCrc16(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EmSolveCrc16);
+
+/** crc16's entry model at the pipeline default of 8 cycles per tick. */
+struct Crc16Model
+{
+    workloads::Workload workload = workloads::makeCrc16();
+    sim::SimConfig config;
+    sim::LoweredModule lowered = sim::lowerModule(*workload.module);
+    std::vector<double> noCallees =
+        std::vector<double>(workload.module->procedureCount(), 0.0);
+    tomography::TimingModel model{workload.entryProc(),
+                                  lowered.procs[workload.entry],
+                                  config.costs,
+                                  config.policy,
+                                  config.cyclesPerTick,
+                                  noCallees,
+                                  2.0 * config.costs.timerRead};
+};
+
+/** Path enumeration alone (1022 paths under the agnostic prior). */
+void
+BM_EnumeratePathsCrc16(benchmark::State &state)
+{
+    Crc16Model crc;
+    std::vector<double> theta(crc.model.paramCount(), 0.5);
+    auto chain = crc.model.chainFor(theta);
+    for (auto _ : state) {
+        auto paths = markov::enumeratePaths(chain, crc.workload.entryProc()
+                                                       .entry());
+        benchmark::DoNotOptimize(paths.paths.size());
+    }
+}
+BENCHMARK(BM_EnumeratePathsCrc16);
+
+/** One batch workspace build: enumeration, decision signatures,
+ *  duration histogram and kernel fill over a 2000-invocation trace. */
+void
+BM_PathWorkspaceBuildCrc16(benchmark::State &state)
+{
+    Crc16Model crc;
+    auto inputs = crc.workload.makeInputs(1);
+    sim::Simulator simulator(*crc.workload.module, crc.lowered, crc.config,
+                             *inputs, 2);
+    auto durations = simulator.run(crc.workload.entry, 2000)
+                         .trace.durations(crc.workload.entry);
+    std::vector<double> theta(crc.model.paramCount(), 0.5);
+    for (auto _ : state) {
+        auto ws = tomography::PathWorkspace::build(crc.model, durations, {},
+                                                   theta);
+        benchmark::DoNotOptimize(ws.kernel.data());
+    }
+}
+BENCHMARK(BM_PathWorkspaceBuildCrc16);
+
+/**
+ * TomographyPipeline::estimate per program on a default-config
+ * measurement run (2000 invocations, 8 cycles per tick): the per-
+ * program estimate cost a placement run pays.
+ */
+void
+BM_PipelineEstimate(benchmark::State &state)
+{
+    const auto names = workloads::workloadNames();
+    const auto &name = names[size_t(state.range(0))];
+    api::PipelineConfig config;
+    config.seed = 2;
+    api::TomographyPipeline pipeline(workloads::workloadByName(name),
+                                     config);
+    auto measured = pipeline.measure();
+    for (auto _ : state) {
+        auto estimate = pipeline.estimate(measured.trace);
+        benchmark::DoNotOptimize(estimate.thetas.size());
+    }
+    state.SetLabel(name);
+}
+BENCHMARK(BM_PipelineEstimate)->DenseRange(0, 10);
 
 /**
  * The full pipeline at the configured --jobs count: with jobs > 1 the

@@ -16,66 +16,80 @@ PathSet::coveredMass() const
     return sum;
 }
 
+namespace detail {
+
+void
+CachedChain::fill(size_t s)
+{
+    State &row = states_[s];
+    row.filled = true;
+    row.exitProb = chain_.exitProb(s);
+    row.stateReward = chain_.stateReward(s);
+    row.exitReward = chain_.exitReward(s);
+    row.first = succ_.size();
+    for (size_t next = 0; next < chain_.size(); ++next) {
+        double p = chain_.transition(s, next);
+        if (p <= 0.0)
+            continue;
+        succ_.push_back({next, p, chain_.edgeReward(s, next)});
+    }
+    row.last = succ_.size();
+}
+
+} // namespace detail
+
 namespace {
 
-struct EnumState
+/** Materializes every path with its state sequence. */
+struct PathCollector
 {
-    const AbsorbingChain &chain;
-    const PathEnumOptions &options;
-    PathSet out;
+    std::vector<Path> &paths;
     std::vector<size_t> stack;
-    std::vector<uint32_t> visits;
 
-    EnumState(const AbsorbingChain &c, const PathEnumOptions &o)
-        : chain(c), options(o), visits(c.size(), 0)
-    {
-    }
+    void enter(size_t, size_t state) { stack.push_back(state); }
+    void leave(size_t, size_t) { stack.pop_back(); }
 
     void
-    expand(size_t state, double prob, double reward)
+    emit(double prob, double reward)
     {
-        if (out.paths.size() >= options.maxPaths) {
-            out.droppedMass += prob;
-            return;
-        }
-        if (prob < options.minProb ||
-            stack.size() >= options.maxLength ||
-            visits[state] >= options.maxVisitsPerState) {
-            out.droppedMass += prob;
-            return;
-        }
-
-        stack.push_back(state);
-        ++visits[state];
-
-        double exit_p = chain.exitProb(state);
-        if (exit_p > 0.0) {
-            Path path;
-            path.states = stack;
-            path.prob = prob * exit_p;
-            path.reward =
-                reward + chain.stateReward(state) + chain.exitReward(state);
-            if (path.prob >= options.minProb &&
-                out.paths.size() < options.maxPaths) {
-                out.paths.push_back(std::move(path));
-            } else {
-                out.droppedMass += prob * exit_p;
-            }
-        }
-
-        for (size_t next = 0; next < chain.size(); ++next) {
-            double p = chain.transition(state, next);
-            if (p <= 0.0)
-                continue;
-            expand(next, prob * p,
-                   reward + chain.stateReward(state) +
-                       chain.edgeReward(state, next));
-        }
-
-        --visits[state];
-        stack.pop_back();
+        Path path;
+        path.states = stack;
+        path.prob = prob;
+        path.reward = reward;
+        paths.push_back(std::move(path));
     }
 };
+
+/** Sort path indices by reward, then sweep merging near-equal runs. */
+template <class RewardOf, class ProbOf>
+std::vector<RewardClass>
+groupSorted(size_t paths, RewardOf reward_of, ProbOf prob_of,
+            double tolerance)
+{
+    std::vector<size_t> order(paths);
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return reward_of(a) < reward_of(b);
+    });
+
+    std::vector<RewardClass> classes;
+    for (size_t idx : order) {
+        const double reward = reward_of(idx);
+        if (!classes.empty() &&
+            std::abs(reward - classes.back().reward) <= tolerance) {
+            classes.back().members.push_back(idx);
+            classes.back().prob += prob_of(idx);
+        } else {
+            RewardClass cls;
+            cls.reward = reward;
+            cls.members = {idx};
+            cls.prob = prob_of(idx);
+            classes.push_back(std::move(cls));
+        }
+    }
+    return classes;
+}
 
 } // namespace
 
@@ -83,42 +97,32 @@ PathSet
 enumeratePaths(const AbsorbingChain &chain, size_t start,
                const PathEnumOptions &options)
 {
-    CT_ASSERT(start < chain.size(), "enumeratePaths: bad start state");
-    EnumState state(chain, options);
-    state.expand(start, 1.0, 0.0);
+    PathSet out;
+    PathCollector collector{out.paths, {}};
+    out.droppedMass = walkPaths(chain, start, options, collector);
 
-    std::sort(state.out.paths.begin(), state.out.paths.end(),
+    std::sort(out.paths.begin(), out.paths.end(),
               [](const Path &a, const Path &b) { return a.prob > b.prob; });
-    return std::move(state.out);
+    return out;
 }
 
 std::vector<RewardClass>
 groupByReward(const PathSet &set, double tolerance)
 {
-    // Sort path indices by reward, then sweep merging near-equal runs.
-    std::vector<size_t> order(set.paths.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        return set.paths[a].reward < set.paths[b].reward;
-    });
+    return groupSorted(
+        set.paths.size(), [&](size_t i) { return set.paths[i].reward; },
+        [&](size_t i) { return set.paths[i].prob; }, tolerance);
+}
 
-    std::vector<RewardClass> classes;
-    for (size_t idx : order) {
-        const Path &path = set.paths[idx];
-        if (!classes.empty() &&
-            std::abs(path.reward - classes.back().reward) <= tolerance) {
-            classes.back().members.push_back(idx);
-            classes.back().prob += path.prob;
-        } else {
-            RewardClass cls;
-            cls.reward = path.reward;
-            cls.members = {idx};
-            cls.prob = path.prob;
-            classes.push_back(std::move(cls));
-        }
-    }
-    return classes;
+std::vector<RewardClass>
+groupByReward(const std::vector<double> &rewards,
+              const std::vector<double> &probs, double tolerance)
+{
+    CT_ASSERT(rewards.size() == probs.size(),
+              "groupByReward: rewards/probs size mismatch");
+    return groupSorted(
+        rewards.size(), [&](size_t i) { return rewards[i]; },
+        [&](size_t i) { return probs[i]; }, tolerance);
 }
 
 } // namespace ct::markov

@@ -21,9 +21,11 @@ size_t
 runEm(const PathWorkspace &ws, const EstimatorOptions &options,
       std::vector<double> &theta, double &log_likelihood)
 {
-    const size_t paths = ws.set.paths.size();
+    const LatentPaths &latent = ws.paths;
+    const size_t paths = latent.pathCount();
     const size_t params = theta.size();
 
+    std::vector<double> signature_prior;
     std::vector<double> prior(paths, 0.0);
     std::vector<double> path_resp(paths, 0.0);
     std::vector<double> acc_taken(params, 0.0);
@@ -44,8 +46,11 @@ runEm(const PathWorkspace &ws, const EstimatorOptions &options,
     size_t iter = 0;
     for (; iter < options.maxIterations; ++iter) {
         int64_t iter_start_us = tel_ll ? obs::monotonicMicros() : 0;
+        // One exp per decision signature; paths sharing one share
+        // the value bit for bit.
+        latent.signaturePriors(theta, signature_prior);
         for (size_t p = 0; p < paths; ++p)
-            prior[p] = std::exp(ws.features[p].logProb(theta));
+            prior[p] = signature_prior[latent.signature[p]];
 
         std::fill(path_resp.begin(), path_resp.end(), 0.0);
         std::fill(acc_taken.begin(), acc_taken.end(), 0.0);
@@ -78,10 +83,11 @@ runEm(const PathWorkspace &ws, const EstimatorOptions &options,
             double resp = path_resp[p];
             if (resp <= 0.0)
                 continue;
-            const auto &f = ws.features[p];
+            const uint32_t *taken = latent.takenCounts(latent.signature[p]);
+            const uint32_t *fall = latent.fallCounts(latent.signature[p]);
             for (size_t b = 0; b < params; ++b) {
-                acc_taken[b] += resp * f.takenCount[b];
-                acc_fall[b] += resp * f.fallCount[b];
+                acc_taken[b] += resp * taken[b];
+                acc_fall[b] += resp * fall[b];
             }
         }
 
@@ -110,24 +116,39 @@ runEm(const PathWorkspace &ws, const EstimatorOptions &options,
 
 /** Mass of reward classes whose members disagree on some decision. */
 double
-aliasedMass(const PathWorkspace &ws, const std::vector<double> &theta)
+aliasedMass(const std::vector<markov::RewardClass> &classes,
+            const LatentPaths &latent, const std::vector<double> &theta)
 {
-    auto classes = markov::groupByReward(ws.set, 1e-6);
+    std::vector<double> prior;
+    latent.signaturePriors(theta, prior);
     double aliased = 0.0;
     for (const auto &cls : classes) {
+        const uint32_t first = latent.signature[cls.members[0]];
         bool mixed = false;
-        for (size_t m = 1; m < cls.members.size() && !mixed; ++m) {
-            const auto &a = ws.features[cls.members[0]];
-            const auto &b = ws.features[cls.members[m]];
-            mixed = a.takenCount != b.takenCount ||
-                    a.fallCount != b.fallCount;
-        }
+        for (size_t m = 1; m < cls.members.size() && !mixed; ++m)
+            mixed = latent.signature[cls.members[m]] != first;
         if (!mixed)
             continue;
         for (size_t member : cls.members)
-            aliased += std::exp(ws.features[member].logProb(theta));
+            aliased += prior[latent.signature[member]];
     }
     return aliased;
+}
+
+/** Run @p build, timing it into tomography.em.build_us when metrics
+ *  are on. */
+template <class Build>
+void
+timedBuild(Build &&build)
+{
+    if (!obs::metricsEnabled()) {
+        build();
+        return;
+    }
+    obs::StopwatchUs watch;
+    build();
+    obs::metrics().histogram("tomography.em.build_us")
+        .record(watch.elapsedUs());
 }
 
 } // namespace
@@ -143,7 +164,10 @@ EmPathEstimator::estimate(const TimingModel &model,
         return result;
 
     // Phase 1: enumerate under the agnostic prior, run EM.
-    auto ws = PathWorkspace::build(model, durations, options_, result.theta);
+    PathWorkspace ws;
+    timedBuild([&] {
+        ws = PathWorkspace::build(model, durations, options_, result.theta);
+    });
     result.iterations =
         runEm(ws, options_, result.theta, result.logLikelihood);
 
@@ -155,15 +179,17 @@ EmPathEstimator::estimate(const TimingModel &model,
         std::vector<double> enum_theta = result.theta;
         for (double &p : enum_theta)
             p = std::clamp(p, 0.05, 0.95);
-        ws = PathWorkspace::build(model, durations, options_, enum_theta);
+        timedBuild([&] { ws.enumerate(model, options_, enum_theta); });
         result.iterations +=
             runEm(ws, options_, result.theta, result.logLikelihood);
     }
 
-    result.pathCount = ws.set.paths.size();
-    result.coveredPathMass = ws.set.coveredMass();
-    result.rewardClasses = markov::groupByReward(ws.set, 1e-6).size();
-    result.aliasedMass = aliasedMass(ws, result.theta);
+    result.pathCount = ws.paths.pathCount();
+    result.coveredPathMass = ws.paths.coveredMass();
+    auto classes =
+        markov::groupByReward(ws.paths.rewards, ws.paths.prob, 1e-6);
+    result.rewardClasses = classes.size();
+    result.aliasedMass = aliasedMass(classes, ws.paths, result.theta);
 
     if (obs::metricsEnabled()) {
         auto &m = obs::metrics();

@@ -35,51 +35,6 @@ makeEstimator(EstimatorKind kind, const EstimatorOptions &options)
     panic("makeEstimator: bad kind");
 }
 
-double
-PathFeatures::logProb(const std::vector<double> &theta) const
-{
-    CT_ASSERT(theta.size() == takenCount.size(),
-              "PathFeatures/theta size mismatch");
-    double lp = 0.0;
-    for (size_t b = 0; b < theta.size(); ++b) {
-        double p = std::clamp(theta[b], 1e-12, 1.0 - 1e-12);
-        if (takenCount[b] > 0)
-            lp += double(takenCount[b]) * std::log(p);
-        if (fallCount[b] > 0)
-            lp += double(fallCount[b]) * std::log1p(-p);
-    }
-    return lp;
-}
-
-PathFeatures
-extractFeatures(const TimingModel &model, const markov::Path &path)
-{
-    PathFeatures features;
-    features.takenCount.assign(model.paramCount(), 0);
-    features.fallCount.assign(model.paramCount(), 0);
-
-    // Map branch block -> parameter index.
-    // (Small procedures: a linear scan per step is fine.)
-    const auto &params = model.params();
-    for (size_t step = 0; step + 1 < path.states.size(); ++step) {
-        size_t from = path.states[step];
-        size_t to = path.states[step + 1];
-        for (size_t p = 0; p < params.size(); ++p) {
-            if (params[p].block != from)
-                continue;
-            if (params[p].takenTarget == ir::BlockId(to))
-                ++features.takenCount[p];
-            else if (params[p].fallTarget == ir::BlockId(to))
-                ++features.fallCount[p];
-            break;
-        }
-    }
-    // The final state may also be a branch block only if the walk exits
-    // there, which cannot happen (branch blocks have no exit mass), so
-    // no terminal handling is required.
-    return features;
-}
-
 ModuleEstimate
 estimateModule(const ir::Module &module, const sim::LoweredModule &lowered,
                const sim::CostModel &costs, sim::PredictPolicy policy,

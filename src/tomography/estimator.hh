@@ -89,21 +89,6 @@ class Estimator
 std::unique_ptr<Estimator> makeEstimator(EstimatorKind kind,
                                          const EstimatorOptions &options);
 
-/** Per-path branch decision counts (how often each parameter resolved
- *  taken / fallthrough along the path). */
-struct PathFeatures
-{
-    std::vector<uint32_t> takenCount; //!< per parameter
-    std::vector<uint32_t> fallCount;  //!< per parameter
-
-    /** log P(path | theta) contribution of the branch decisions. */
-    double logProb(const std::vector<double> &theta) const;
-};
-
-/** Extract decision counts for one enumerated path. */
-PathFeatures extractFeatures(const TimingModel &model,
-                             const markov::Path &path);
-
 /** Whole-module estimation outcome. */
 struct ModuleEstimate
 {

@@ -4,8 +4,7 @@
 #include <cmath>
 #include <set>
 
-#include "markov/paths.hh"
-#include "tomography/noise_kernel.hh"
+#include "tomography/latent_paths.hh"
 #include "util/logging.hh"
 
 namespace ct::tomography {
@@ -25,28 +24,24 @@ assessFit(const TimingModel &model, const std::vector<double> &theta,
     std::vector<double> enum_theta = theta;
     for (double &p : enum_theta)
         p = std::clamp(p, 0.05, 0.95);
-    auto chain = model.chainFor(enum_theta);
-    auto set = markov::enumeratePaths(chain, model.proc().entry(),
-                                      options.pathEnum);
-    if (set.paths.empty())
+    auto paths = LatentPaths::enumerate(model, enum_theta, options);
+    if (paths.pathCount() == 0)
         fatal("assessFit: no paths enumerated for '", model.proc().name(),
               "'");
 
     NoiseKernel noise(model.cyclesPerTick(), options.jitterSigmaTicks);
+    std::vector<double> prior;
+    paths.signaturePriors(theta, prior);
 
     FitQuality out;
     double predicted_total = 0.0;
-    for (const auto &path : set.paths) {
-        auto features = extractFeatures(model, path);
-        double prob = std::exp(features.logProb(theta));
+    for (size_t p = 0; p < paths.pathCount(); ++p) {
+        double prob = prior[paths.signature[p]];
         if (prob <= 0.0)
             continue;
-        double extra_var = model.pathVarianceCycles(path.states) /
-                           double(model.cyclesPerTick() *
-                                  model.cyclesPerTick());
-        auto [lo, hi] = noise.support(path.reward, extra_var);
+        auto [lo, hi] = NoiseKernel::window(paths.quantized[p]);
         for (int64_t t = lo; t <= hi; ++t) {
-            double mass = prob * noise.prob(t, path.reward, extra_var);
+            double mass = prob * noise.prob(t, paths.quantized[p]);
             if (mass > 0.0) {
                 out.predicted[t] += mass;
                 predicted_total += mass;

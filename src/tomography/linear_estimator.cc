@@ -27,7 +27,8 @@ LinearTomographyEstimator::estimate(
 
     std::vector<double> uniform(model.paramCount(), 0.5);
     auto ws = PathWorkspace::build(model, durations, options_, uniform);
-    auto classes = markov::groupByReward(ws.set, 1e-6);
+    const LatentPaths &latent = ws.paths;
+    auto classes = markov::groupByReward(latent.rewards, latent.prob, 1e-6);
     const size_t n_classes = classes.size();
 
     // Class-level kernel: P(obs | class reward), widened by the class's
@@ -38,8 +39,8 @@ LinearTomographyEstimator::estimate(
         double mass = 0.0;
         for (size_t member : classes[c].members) {
             class_var[c] +=
-                ws.set.paths[member].prob * ws.extraVarTicks2[member];
-            mass += ws.set.paths[member].prob;
+                latent.prob[member] * latent.extraVarTicks2[member];
+            mass += latent.prob[member];
         }
         if (mass > 0.0)
             class_var[c] /= mass;
@@ -99,16 +100,18 @@ LinearTomographyEstimator::estimate(
     for (size_t c = 0; c < n_classes; ++c) {
         double member_total = 0.0;
         for (size_t member : classes[c].members)
-            member_total += ws.set.paths[member].prob;
+            member_total += latent.prob[member];
         if (member_total <= 0.0)
             continue;
         for (size_t member : classes[c].members) {
             double weight = ws.totalWeight * freq[c] *
-                            ws.set.paths[member].prob / member_total;
-            const auto &f = ws.features[member];
+                            latent.prob[member] / member_total;
+            const uint32_t sig = latent.signature[member];
+            const uint32_t *taken = latent.takenCounts(sig);
+            const uint32_t *fall = latent.fallCounts(sig);
             for (size_t b = 0; b < model.paramCount(); ++b) {
-                acc_taken[b] += weight * f.takenCount[b];
-                acc_fall[b] += weight * f.fallCount[b];
+                acc_taken[b] += weight * taken[b];
+                acc_fall[b] += weight * fall[b];
             }
         }
     }
@@ -119,18 +122,16 @@ LinearTomographyEstimator::estimate(
     }
 
     result.iterations = iter;
-    result.pathCount = ws.set.paths.size();
-    result.coveredPathMass = ws.set.coveredMass();
+    result.pathCount = latent.pathCount();
+    result.coveredPathMass = latent.coveredMass();
     result.rewardClasses = n_classes;
     double aliased = 0.0;
     for (size_t c = 0; c < n_classes; ++c) {
+        const auto &members = classes[c].members;
         bool mixed = false;
-        for (size_t m = 1; m < classes[c].members.size() && !mixed; ++m) {
-            const auto &a = ws.features[classes[c].members[0]];
-            const auto &b = ws.features[classes[c].members[m]];
-            mixed = a.takenCount != b.takenCount ||
-                    a.fallCount != b.fallCount;
-        }
+        for (size_t m = 1; m < members.size() && !mixed; ++m)
+            mixed = latent.signature[members[m]] !=
+                    latent.signature[members[0]];
         if (mixed)
             aliased += freq[c];
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/logging.hh"
 
@@ -22,6 +23,12 @@ NoiseKernel::effectiveSigma(double extra_var_ticks2) const
     return std::sqrt(durationSigma_ * durationSigma_ + extra_var_ticks2);
 }
 
+int64_t
+NoiseKernel::spanOf(double sigma)
+{
+    return sigma > 0.0 ? int64_t(std::ceil(6.0 * sigma)) : 0;
+}
+
 double
 NoiseKernel::noiseMass(int64_t j, double sigma)
 {
@@ -34,22 +41,39 @@ NoiseKernel::noiseMass(int64_t j, double sigma)
     return phi(double(j) + 0.5) - phi(double(j) - 0.5);
 }
 
+NoiseKernel::Quantized
+NoiseKernel::quantize(double true_cycles, double extra_var_ticks2) const
+{
+    Quantized q;
+    if (true_cycles < 0.0) {
+        q.negative = true;
+        return q;
+    }
+    double ratio = true_cycles / double(cyclesPerTick_);
+    q.base = int64_t(std::floor(ratio));
+    q.frac = ratio - double(q.base);
+    q.sigma = effectiveSigma(extra_var_ticks2);
+    q.span = spanOf(q.sigma);
+    return q;
+}
+
 double
 NoiseKernel::prob(int64_t observed_ticks, double true_cycles,
                   double extra_var_ticks2) const
 {
-    if (true_cycles < 0.0)
+    return prob(observed_ticks, quantize(true_cycles, extra_var_ticks2));
+}
+
+double
+NoiseKernel::prob(int64_t observed_ticks, const Quantized &duration) const
+{
+    if (duration.negative)
         return 0.0;
-    double ratio = true_cycles / double(cyclesPerTick_);
-    int64_t base = int64_t(std::floor(ratio));
-    double frac = ratio - double(base);
-    double sigma = effectiveSigma(extra_var_ticks2);
-    int64_t span = sigma > 0.0 ? int64_t(std::ceil(6.0 * sigma)) : 0;
 
     // Quantization mass on {base, base + 1}, convolved with the noise.
     double total = 0.0;
-    const int64_t quant_ticks[2] = {base, base + 1};
-    const double quant_mass[2] = {1.0 - frac, frac};
+    const int64_t quant_ticks[2] = {duration.base, duration.base + 1};
+    const double quant_mass[2] = {1.0 - duration.frac, duration.frac};
     for (int q = 0; q < 2; ++q) {
         if (quant_mass[q] <= 0.0)
             continue;
@@ -58,11 +82,27 @@ NoiseKernel::prob(int64_t observed_ticks, double true_cycles,
         int64_t j;
         if (__builtin_sub_overflow(observed_ticks, quant_ticks[q], &j))
             continue;
-        if ((j > span || j < -span) && span > 0)
+        if ((j > duration.span || j < -duration.span) && duration.span > 0)
             continue;
-        total += quant_mass[q] * noiseMass(j, sigma);
+        total += quant_mass[q] * noiseMass(j, duration.sigma);
     }
     return total;
+}
+
+std::pair<int64_t, int64_t>
+NoiseKernel::window(const Quantized &duration)
+{
+    if (duration.negative)
+        return {0, -1};
+    // Each quantization tick reaches +-span (prob() skips the rest; with
+    // span 0 noiseMass() is 0 off the tick itself).
+    int64_t lo, hi;
+    if (__builtin_sub_overflow(duration.base, duration.span, &lo))
+        lo = std::numeric_limits<int64_t>::min();
+    if (__builtin_add_overflow(duration.base, duration.span, &hi) ||
+        __builtin_add_overflow(hi, int64_t(1), &hi))
+        hi = std::numeric_limits<int64_t>::max();
+    return {lo, hi};
 }
 
 double
@@ -78,8 +118,7 @@ NoiseKernel::support(double true_cycles, double extra_var_ticks2) const
 {
     double ratio = std::max(0.0, true_cycles) / double(cyclesPerTick_);
     int64_t base = int64_t(std::floor(ratio));
-    double sigma = effectiveSigma(extra_var_ticks2);
-    int64_t span = sigma > 0.0 ? int64_t(std::ceil(6.0 * sigma)) : 0;
+    int64_t span = spanOf(effectiveSigma(extra_var_ticks2));
     return {base - span, base + 1 + span};
 }
 

@@ -40,6 +40,35 @@ class NoiseKernel
     double prob(int64_t observed_ticks, double true_cycles,
                 double extra_var_ticks2 = 0.0) const;
 
+    /**
+     * The duration-dependent half of prob(): the quantization base
+     * tick and fraction of a true duration, and the effective noise
+     * sigma with its +-6 sigma span. Computing it once per path and
+     * reusing it for every observed tick value gives the same result,
+     * bit for bit, as calling prob() with the duration each time.
+     */
+    struct Quantized
+    {
+        bool negative = false; //!< true duration < 0: prob() is 0
+        int64_t base = 0;
+        double frac = 0.0;
+        double sigma = 0.0;
+        int64_t span = 0;
+    };
+
+    Quantized quantize(double true_cycles,
+                       double extra_var_ticks2 = 0.0) const;
+
+    /** prob() for a duration already quantized by quantize(). */
+    double prob(int64_t observed_ticks, const Quantized &duration) const;
+
+    /**
+     * Tick window [lo, hi] of @p duration: prob() is exactly +0.0 for
+     * every observed tick outside it (lo > hi for a negative duration,
+     * whose prob() is 0 everywhere).
+     */
+    static std::pair<int64_t, int64_t> window(const Quantized &duration);
+
     /** log(prob), floored at logFloor() to keep likelihoods finite. */
     double logProb(int64_t observed_ticks, double true_cycles,
                    double extra_var_ticks2 = 0.0) const;
@@ -66,6 +95,9 @@ class NoiseKernel
   private:
     /** P(displacement == j ticks) for a Gaussian of std @p sigma. */
     static double noiseMass(int64_t j, double sigma);
+
+    /** +-6 sigma noise span in ticks (0 without noise). */
+    static int64_t spanOf(double sigma);
 
     /** Effective duration-noise sigma given extra variance. */
     double effectiveSigma(double extra_var_ticks2) const;

@@ -1,5 +1,6 @@
 #include "tomography/path_workspace.hh"
 
+#include <algorithm>
 #include <map>
 
 #include "util/logging.hh"
@@ -15,25 +16,6 @@ PathWorkspace::build(const TimingModel &model,
     CT_ASSERT(!durations.empty(), "PathWorkspace: no observations");
 
     PathWorkspace ws;
-    auto chain = model.chainFor(enum_theta);
-    ws.set = markov::enumeratePaths(chain, model.proc().entry(),
-                                    options.pathEnum);
-    if (ws.set.paths.empty())
-        fatal("path enumeration produced no paths for '",
-              model.proc().name(),
-              "'; relax PathEnumOptions (minProb/maxVisitsPerState)");
-
-    const double tick = double(model.cyclesPerTick());
-    ws.features.reserve(ws.set.paths.size());
-    ws.rewards.reserve(ws.set.paths.size());
-    ws.extraVarTicks2.reserve(ws.set.paths.size());
-    for (const auto &path : ws.set.paths) {
-        ws.features.push_back(extractFeatures(model, path));
-        ws.rewards.push_back(path.reward);
-        ws.extraVarTicks2.push_back(
-            model.pathVarianceCycles(path.states) / (tick * tick));
-    }
-
     std::map<int64_t, double> histogram;
     for (int64_t d : durations)
         histogram[d] += 1.0;
@@ -42,17 +24,36 @@ PathWorkspace::build(const TimingModel &model,
         ws.obsWeights.push_back(weight);
         ws.totalWeight += weight;
     }
-
-    NoiseKernel noise(model.cyclesPerTick(), options.jitterSigmaTicks);
-    ws.kernelStride = ws.set.paths.size();
-    ws.kernel.assign(ws.obsValues.size() * ws.kernelStride, 0.0);
-    for (size_t o = 0; o < ws.obsValues.size(); ++o) {
-        double *row = ws.kernel.data() + o * ws.kernelStride;
-        for (size_t p = 0; p < ws.kernelStride; ++p)
-            row[p] = noise.prob(ws.obsValues[o], ws.rewards[p],
-                                ws.extraVarTicks2[p]);
-    }
+    ws.enumerate(model, options, enum_theta);
     return ws;
+}
+
+void
+PathWorkspace::enumerate(const TimingModel &model,
+                         const EstimatorOptions &options,
+                         const std::vector<double> &enum_theta)
+{
+    paths = LatentPaths::enumerate(model, enum_theta, options);
+    if (paths.pathCount() == 0)
+        fatal("path enumeration produced no paths for '",
+              model.proc().name(),
+              "'; relax PathEnumOptions (minProb/maxVisitsPerState)");
+
+    // prob() is exactly +0.0 outside each path's tick window, as the
+    // zero fill already holds, so only the distinct durations inside
+    // the window (obsValues is ascending) are evaluated.
+    NoiseKernel noise(model.cyclesPerTick(), options.jitterSigmaTicks);
+    kernelStride = paths.pathCount();
+    kernel.assign(obsValues.size() * kernelStride, 0.0);
+    for (size_t p = 0; p < kernelStride; ++p) {
+        const NoiseKernel::Quantized &duration = paths.quantized[p];
+        auto [lo, hi] = NoiseKernel::window(duration);
+        size_t o = size_t(
+            std::lower_bound(obsValues.begin(), obsValues.end(), lo) -
+            obsValues.begin());
+        for (; o < obsValues.size() && obsValues[o] <= hi; ++o)
+            kernel[o * kernelStride + p] = noise.prob(obsValues[o], duration);
+    }
 }
 
 } // namespace ct::tomography

@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared preparation for the path-based estimators (Linear, Em):
- * bounded path enumeration, per-path branch-decision features, and the
- * observation-likelihood matrix over the distinct measured durations.
+ * Shared preparation for the path-based estimators (Linear, Em): the
+ * latent path set (LatentPaths) and the observation-likelihood matrix
+ * over the distinct measured durations.
  */
 
 #ifndef CT_TOMOGRAPHY_PATH_WORKSPACE_HH
@@ -10,19 +10,14 @@
 
 #include <vector>
 
-#include "tomography/estimator.hh"
-#include "tomography/noise_kernel.hh"
+#include "tomography/latent_paths.hh"
 
 namespace ct::tomography {
 
 /** Precomputed quantities shared by one estimation run. */
 struct PathWorkspace
 {
-    markov::PathSet set;
-    std::vector<PathFeatures> features; //!< per path
-    std::vector<double> rewards;        //!< per path, cycles
-    /** Residual callee variance per path, in ticks^2. */
-    std::vector<double> extraVarTicks2;
+    LatentPaths paths;
 
     std::vector<int64_t> obsValues; //!< distinct measured durations, ticks
     std::vector<double> obsWeights; //!< multiplicity of each value
@@ -30,7 +25,7 @@ struct PathWorkspace
 
     /**
      * Observation-likelihood matrix, row-major and contiguous:
-     * kernelRow(o)[p] = P(obsValues[o] | rewards[p]). One flat buffer
+     * kernelRow(o)[p] = P(obsValues[o] | path p). One flat buffer
      * (rows of kernelStride doubles) instead of a vector-of-vectors so
      * the EM E-step streams it without per-row indirection.
      */
@@ -43,13 +38,21 @@ struct PathWorkspace
     }
 
     /**
-     * Build: enumerate paths of @p model's chain under @p enum_theta,
-     * extract features, histogram @p durations, and fill the kernel.
+     * Build: histogram @p durations, then enumerate() under
+     * @p enum_theta.
      */
     static PathWorkspace build(const TimingModel &model,
                                const std::vector<int64_t> &durations,
                                const EstimatorOptions &options,
                                const std::vector<double> &enum_theta);
+
+    /**
+     * Replace the path set with @p model's paths under @p enum_theta
+     * and refill the kernel; the duration histogram is kept. fatal()
+     * when the bounds leave no path.
+     */
+    void enumerate(const TimingModel &model, const EstimatorOptions &options,
+                   const std::vector<double> &enum_theta);
 };
 
 } // namespace ct::tomography

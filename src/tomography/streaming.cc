@@ -93,27 +93,17 @@ std::shared_ptr<const PathTable>
 PathTable::build(const TimingModel &model, const EstimatorOptions &options)
 {
     auto table = std::make_shared<PathTable>();
-    table->paramCount = model.paramCount();
     table->jitterSigmaTicks = options.jitterSigmaTicks;
 
     // Latent path set, enumerated once under the agnostic prior.
     std::vector<double> prior(model.paramCount(), 0.5);
-    auto chain = model.chainFor(prior);
-    auto set = markov::enumeratePaths(chain, model.proc().entry(),
-                                      options.pathEnum);
-    if (set.paths.empty())
+    table->paths = LatentPaths::enumerate(model, prior, options);
+    if (table->paths.pathCount() == 0)
         fatal("streaming estimator: no paths enumerated for '",
               model.proc().name(), "'");
-    const double tick = double(model.cyclesPerTick());
-    for (const auto &path : set.paths) {
-        table->features.push_back(extractFeatures(model, path));
-        table->rewards.push_back(path.reward);
-        table->extraVarTicks2.push_back(
-            model.pathVarianceCycles(path.states) / (tick * tick));
-    }
     table->window = PathWindow::build(
         NoiseKernel(model.cyclesPerTick(), options.jitterSigmaTicks),
-        table->rewards, table->extraVarTicks2);
+        table->paths.rewards, table->paths.extraVarTicks2);
 
     if (obs::metricsEnabled()) {
         WindowStats stats = table->window.stats();
@@ -186,7 +176,7 @@ StreamingEstimator::StreamingEstimator(const TimingModel &model,
       smoothing_(options.smoothing), table_(std::move(table))
 {
     CT_ASSERT(table_ != nullptr, "streaming estimator: null path table");
-    CT_ASSERT(table_->paramCount == model.paramCount(),
+    CT_ASSERT(table_->paths.paramCount == model.paramCount(),
               "streaming estimator: path table parameter count mismatch "
               "for '", model.proc().name(), "'");
     CT_ASSERT(table_->jitterSigmaTicks == options.jitterSigmaTicks,
@@ -251,11 +241,11 @@ StreamingEstimator::observe(int64_t duration_ticks)
     // over all paths (see the file comment).
     EStepScratch &scratch = eStepScratch();
     table_->window.candidates(duration_ticks, scratch.paths);
-    const auto &features = table_->features;
+    const LatentPaths &paths = table_->paths;
     const size_t params = theta_.size();
     const size_t candidates = scratch.paths.size();
 
-    // log(theta) terms of PathFeatures::logProb, hoisted out of the
+    // log(theta) terms of LatentPaths::signaturePriors, hoisted out of the
     // path loop with its clamp.
     scratch.logTaken.resize(params);
     scratch.logFall.resize(params);
@@ -271,17 +261,17 @@ StreamingEstimator::observe(int64_t duration_ticks)
     double denom = 0.0;
     for (size_t c = 0; c < candidates; ++c) {
         const uint32_t p = scratch.paths[c];
-        double kernel = noise_.prob(duration_ticks, table_->rewards[p],
-                                    table_->extraVarTicks2[p]);
+        double kernel = noise_.prob(duration_ticks, paths.quantized[p]);
         double resp = 0.0;
         if (kernel > 0.0) {
-            const PathFeatures &f = features[p];
+            const uint32_t *taken = paths.takenCounts(paths.signature[p]);
+            const uint32_t *fall = paths.fallCounts(paths.signature[p]);
             double lp = 0.0;
             for (size_t b = 0; b < params; ++b) {
-                if (f.takenCount[b] > 0)
-                    lp += double(f.takenCount[b]) * scratch.logTaken[b];
-                if (f.fallCount[b] > 0)
-                    lp += double(f.fallCount[b]) * scratch.logFall[b];
+                if (taken[b] > 0)
+                    lp += double(taken[b]) * scratch.logTaken[b];
+                if (fall[b] > 0)
+                    lp += double(fall[b]) * scratch.logFall[b];
             }
             resp = std::exp(lp) * kernel;
         }
@@ -298,11 +288,13 @@ StreamingEstimator::observe(int64_t duration_ticks)
     scratch.taken.assign(params, 0.0);
     scratch.fall.assign(params, 0.0);
     for (size_t c = 0; c < candidates; ++c) {
-        const PathFeatures &f = features[scratch.paths[c]];
+        const uint32_t sig = paths.signature[scratch.paths[c]];
+        const uint32_t *taken = paths.takenCounts(sig);
+        const uint32_t *fall = paths.fallCounts(sig);
         double w = scratch.resp[c] / denom;
         for (size_t b = 0; b < params; ++b) {
-            scratch.taken[b] += w * f.takenCount[b];
-            scratch.fall[b] += w * f.fallCount[b];
+            scratch.taken[b] += w * taken[b];
+            scratch.fall[b] += w * fall[b];
         }
     }
 

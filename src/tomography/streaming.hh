@@ -36,8 +36,7 @@
 
 #include <memory>
 
-#include "tomography/estimator.hh"
-#include "tomography/noise_kernel.hh"
+#include "tomography/latent_paths.hh"
 
 namespace ct::tomography {
 
@@ -82,9 +81,10 @@ struct PathWindow
 };
 
 /**
- * The latent path set one streaming estimator ranges over: per-path
- * branch-decision features, rewards (cycles), residual variance, and
- * support windows. A pure function of (model, options.pathEnum,
+ * The latent path set one streaming estimator ranges over (per-path
+ * decision signatures, rewards, residual variance and quantized
+ * kernel operands; see LatentPaths) and its support windows. A pure
+ * function of (model, options.pathEnum,
  * options.jitterSigmaTicks), so every estimator of the same
  * procedure can share one immutable table — at fleet scale
  * (one estimator per (mote, procedure), 10^5..10^6 motes) this turns
@@ -94,15 +94,12 @@ struct PathWindow
  */
 struct PathTable
 {
-    std::vector<PathFeatures> features;  //!< per path
-    std::vector<double> rewards;         //!< per path, cycles
-    std::vector<double> extraVarTicks2;  //!< per path
-    size_t paramCount = 0;
+    LatentPaths paths;
     /** The noise model the window was built under. */
     double jitterSigmaTicks = 0.0;
     PathWindow window;
 
-    size_t pathCount() const { return features.size(); }
+    size_t pathCount() const { return paths.pathCount(); }
 
     /**
      * Enumerate under the agnostic prior and index the support

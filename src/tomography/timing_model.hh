@@ -79,9 +79,6 @@ class TimingModel
      *  by the stochastic callees it invokes. */
     double blockVariance(ir::BlockId block) const;
 
-    /** Total residual callee variance (cycles^2) along a walk. */
-    double pathVarianceCycles(const std::vector<size_t> &states) const;
-
     /** Extra cycles accrued when leaving @p from along edge to @p to. */
     double edgeCycles(ir::BlockId from, ir::BlockId to) const;
 

@@ -315,14 +315,26 @@ struct DenseReference
             ++state.count;
             return;
         }
-        const auto &features = table.features;
-        const size_t paths = features.size();
+        const LatentPaths &latent = table.paths;
+        const size_t paths = latent.pathCount();
         std::vector<double> resp(paths);
         double denom = 0.0;
         for (size_t p = 0; p < paths; ++p) {
-            double prior = std::exp(features[p].logProb(theta));
-            resp[p] = prior * noise.prob(duration_ticks, table.rewards[p],
-                                         table.extraVarTicks2[p]);
+            // log P(path | theta), parameter by parameter, each log
+            // taken afresh under the clamp.
+            const uint32_t *taken = latent.takenCounts(latent.signature[p]);
+            const uint32_t *fall = latent.fallCounts(latent.signature[p]);
+            double lp = 0.0;
+            for (size_t b = 0; b < theta.size(); ++b) {
+                double q = std::clamp(theta[b], 1e-12, 1.0 - 1e-12);
+                if (taken[b] > 0)
+                    lp += double(taken[b]) * std::log(q);
+                if (fall[b] > 0)
+                    lp += double(fall[b]) * std::log1p(-q);
+            }
+            resp[p] = std::exp(lp) *
+                      noise.prob(duration_ticks, latent.rewards[p],
+                                 latent.extraVarTicks2[p]);
             denom += resp[p];
         }
         ++state.count;
@@ -337,9 +349,10 @@ struct DenseReference
             double taken = 0.0;
             double fall = 0.0;
             for (size_t p = 0; p < paths; ++p) {
+                const uint32_t sig = latent.signature[p];
                 double w = resp[p] / denom;
-                taken += w * features[p].takenCount[b];
-                fall += w * features[p].fallCount[b];
+                taken += w * latent.takenCounts(sig)[b];
+                fall += w * latent.fallCounts(sig)[b];
             }
             state.statTaken[b] =
                 (1.0 - rho) * state.statTaken[b] + rho * taken;
@@ -484,7 +497,7 @@ TEST(StreamingWindow, CandidatesAreExactlyTheContainingWindowsInPathOrder)
         std::vector<int64_t> lo(table->pathCount()), hi(table->pathCount());
         for (size_t p = 0; p < table->pathCount(); ++p)
             std::tie(lo[p], hi[p]) = noise.support(
-                table->rewards[p], table->extraVarTicks2[p]);
+                table->paths.rewards[p], table->paths.extraVarTicks2[p]);
 
         auto probes = adversarialDurations(window);
         for (int64_t d = window.lo.front() - 3;
@@ -499,8 +512,8 @@ TEST(StreamingWindow, CandidatesAreExactlyTheContainingWindowsInPathOrder)
                 if (lo[p] <= d && d <= hi[p])
                     want.push_back(uint32_t(p));
                 else
-                    ASSERT_EQ(noise.prob(d, table->rewards[p],
-                                         table->extraVarTicks2[p]),
+                    ASSERT_EQ(noise.prob(d, table->paths.rewards[p],
+                                         table->paths.extraVarTicks2[p]),
                               0.0)
                         << "path " << p << " has mass outside its window";
             }
