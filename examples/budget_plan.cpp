@@ -2,11 +2,12 @@
  * @file
  * Budgeted placement planning demo (docs/BUDGET.md), two modes.
  *
- * Single mote (default): run the full pipeline with the budget stage
- * enabled and show what a reprogramming budget costs — the chosen
- * per-procedure upgrades, what was deferred, which budget dimension
- * bound, the greedy/exact optimality gap, and the "budget" layout's
- * measured cycles next to the unconstrained candidates.
+ * Single mote (default): run the pipeline, plan the budget from its
+ * estimate, evaluate the plan as a "budget" layout, and show what a
+ * reprogramming budget costs — the chosen per-procedure upgrades,
+ * what was deferred, which budget dimension bound, the greedy/exact
+ * optimality gap, and the "budget" layout's measured cycles next to
+ * the unconstrained candidates.
  *
  *   ./budget_plan [--workload crc16] [--samples 2000] [--eval 5000]
  *                 [--seed 1] [--jobs 0] [--flash-bytes 64]
@@ -134,27 +135,27 @@ runSingleMote(const CliArgs &args)
     config.evalInvocations = size_t(args.getLong("eval", 5000));
     config.seed = uint64_t(args.getLong("seed", 1));
     config.jobs = size_t(args.getLong("jobs", 0));
-    config.budget.enabled = true;
-    config.budget.spec =
-        makeSpec(parseLimit(args.get("flash-bytes", "64")),
-                 parseLimit(args.get("ram-bytes", "-")),
-                 parseLimit(args.get("energy-uj", "-")));
-    config.budget.solver = parseSolver(args.get("solver", "auto"));
-    config.budget.options.energyWeight =
-        args.getDouble("energy-weight", 0.0);
+
+    api::BudgetConfig budget_cfg;
+    budget_cfg.spec = makeSpec(parseLimit(args.get("flash-bytes", "64")),
+                               parseLimit(args.get("ram-bytes", "-")),
+                               parseLimit(args.get("energy-uj", "-")));
+    budget_cfg.solver = parseSolver(args.get("solver", "auto"));
+    budget_cfg.options.energyWeight = args.getDouble("energy-weight", 0.0);
 
     auto workload =
         workloads::workloadByName(args.get("workload", "crc16"));
 
     std::cout << "=== budgeted placement: " << workload.name << " ===\n"
-              << "budget: flash " << limitText(config.budget.spec.flashBytes())
-              << " B, ram " << limitText(config.budget.spec.ramBytes)
+              << "budget: flash " << limitText(budget_cfg.spec.flashBytes())
+              << " B, ram " << limitText(budget_cfg.spec.ramBytes)
               << " B, energy "
-              << limitText(config.budget.spec.energyNanojoules) << " nJ\n\n";
+              << limitText(budget_cfg.spec.energyNanojoules) << " nJ\n\n";
 
     api::TomographyPipeline pipeline(workload, config);
     auto result = pipeline.run();
-    const auto &outcome = result.budget;
+    auto outcome = pipeline.planBudget(result.estimate, budget_cfg);
+    result.outcomes.push_back(pipeline.evaluate("budget", outcome.orders));
     const auto &plan = outcome.plan;
 
     {

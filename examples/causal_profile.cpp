@@ -59,26 +59,26 @@ main(int argc, char **argv)
     api::PipelineConfig config;
     config.measureInvocations = size_t(args.getLong("samples", 2000));
     config.seed = uint64_t(args.getLong("seed", 1));
-    config.causalProfile.enabled = true;
-    config.causalProfile.dials =
-        parseDials(args.get("dials", "0.25,0.5,0.75,1.0"));
-    config.causalProfile.perBlock = args.getBool("per-block", false);
-    config.causalProfile.useTrueProfile =
-        args.getBool("true-profile", false);
-    config.causalProfile.jsonOut = args.get("json", "");
-    config.causalProfile.csvOut = args.get("csv", "");
+
+    api::CausalConfig causal_cfg;
+    causal_cfg.dials = parseDials(args.get("dials", "0.25,0.5,0.75,1.0"));
+    causal_cfg.perBlock = args.getBool("per-block", false);
+    causal_cfg.useTrueProfile = args.getBool("true-profile", false);
+    causal_cfg.jsonOut = args.get("json", "");
+    causal_cfg.csvOut = args.get("csv", "");
 
     auto workload =
         workloads::workloadByName(args.get("workload", "crc16"));
 
     api::TomographyPipeline pipeline(workload, config);
     auto result = pipeline.run();
-    const auto &cp = result.causal;
+    auto cp = pipeline.causalProfile(result.measureRun, result.estimate,
+                                     causal_cfg);
 
     std::cout << "=== causal what-if profile: " << workload.name
               << " ===\n"
               << "theta source: "
-              << (config.causalProfile.useTrueProfile
+              << (causal_cfg.useTrueProfile
                       ? "empirical run profile"
                       : "estimated from boundary timing")
               << "\n"
@@ -113,7 +113,7 @@ main(int argc, char **argv)
         table.print(std::cout);
     }
 
-    if (config.causalProfile.perBlock && !cp.blocks.empty()) {
+    if (causal_cfg.perBlock && !cp.blocks.empty()) {
         TablePrinter table("per-block attribution");
         table.setHeader({"procedure", "block", "delta cyc/event",
                          "speedup %"});

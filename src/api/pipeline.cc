@@ -13,24 +13,6 @@
 
 namespace ct::api {
 
-uint64_t
-RelayOutcome::totalWireBytes() const
-{
-    uint64_t total = 0;
-    for (const auto &ship : shipments)
-        total += ship.wireBytes;
-    return total;
-}
-
-uint64_t
-RelayOutcome::totalRounds() const
-{
-    uint64_t total = 0;
-    for (const auto &ship : shipments)
-        total += ship.rounds;
-    return total;
-}
-
 const LayoutOutcome &
 PipelineResult::outcome(const std::string &name) const
 {
@@ -108,23 +90,17 @@ TomographyPipeline::measureWith(const sim::LoweredModule &lowered)
 
 trace::TimingTrace
 TomographyPipeline::transport(const trace::TimingTrace &trace,
+                              const TransportConfig &cfg,
                               TransportOutcome &outcome)
 {
     CT_SPAN("pipeline.transport");
     obs::StopwatchUs watch;
-    const TransportConfig &cfg = config_.transport;
     uint64_t seed = cfg.seed ? cfg.seed : config_.seed ^ 0x6e657477;
 
-    net::CollectorConfig collector_cfg = cfg.collector;
-    if (!cfg.storeDir.empty()) {
-        collector_cfg.storeDir = cfg.storeDir;
-        collector_cfg.store = cfg.store;
-    }
-    net::SinkCollector sink(collector_cfg);
+    net::SinkCollector sink(cfg.collector);
     auto transfer = net::transferTrace(trace, cfg.moteId, cfg.mtu,
                                        cfg.channel, cfg.uplink, sink, seed);
 
-    outcome.enabled = true;
     outcome.complete = transfer.complete;
     outcome.packets = transfer.packets;
     outcome.rounds = transfer.rounds;
@@ -234,20 +210,12 @@ TomographyPipeline::estimateWith(const trace::TimingTrace &trace,
 
 causal::CausalProfile
 TomographyPipeline::causalProfile(const sim::RunResult &measure_run,
-                                  const tomography::ModuleEstimate &estimate)
-{
-    return causalWith(sim::lowerModule(*workload_.module), measure_run,
-                      estimate);
-}
-
-causal::CausalProfile
-TomographyPipeline::causalWith(const sim::LoweredModule &lowered,
-                               const sim::RunResult &measure_run,
-                               const tomography::ModuleEstimate &estimate)
+                                  const tomography::ModuleEstimate &estimate,
+                                  const CausalConfig &cfg)
 {
     CT_SPAN("pipeline.causal");
     obs::StopwatchUs watch;
-    const CausalConfig &cfg = config_.causalProfile;
+    auto lowered = sim::lowerModule(*workload_.module);
 
     causal::ModuleTheta theta =
         cfg.useTrueProfile
@@ -281,8 +249,17 @@ TomographyPipeline::causalWith(const sim::LoweredModule &lowered,
 tomography::ModuleEstimate
 TomographyPipeline::adoptFromSnapshot(const relay::Snapshot &snapshot)
 {
-    return estimateFromSnapshotWith(sim::lowerModule(*workload_.module),
-                                    snapshot);
+    CT_SPAN("pipeline.adopt");
+    obs::StopwatchUs watch;
+    double nested_probe_cycles = 2.0 * double(config_.sim.costs.timerRead);
+    auto estimate = relay::estimateFromSnapshot(
+        *workload_.module, sim::lowerModule(*workload_.module),
+        config_.sim.costs, config_.sim.policy, config_.sim.cyclesPerTick,
+        nested_probe_cycles, config_.estimatorOptions, snapshot);
+    if (obs::metricsEnabled())
+        obs::metrics().histogram("pipeline.adopt_us")
+            .record(watch.elapsedUs());
+    return estimate;
 }
 
 std::optional<tomography::ModuleEstimate>
@@ -294,112 +271,20 @@ TomographyPipeline::adoptFromSnapshotFile(const std::string &path)
     return adoptFromSnapshot(*snapshot);
 }
 
-tomography::ModuleEstimate
-TomographyPipeline::estimateFromSnapshotWith(
-    const sim::LoweredModule &lowered, const relay::Snapshot &snapshot)
-{
-    CT_SPAN("pipeline.adopt");
-    obs::StopwatchUs watch;
-    double nested_probe_cycles = 2.0 * double(config_.sim.costs.timerRead);
-    auto estimate = relay::estimateFromSnapshot(
-        *workload_.module, lowered, config_.sim.costs, config_.sim.policy,
-        config_.sim.cyclesPerTick, nested_probe_cycles,
-        config_.estimatorOptions, snapshot);
-    if (obs::metricsEnabled())
-        obs::metrics().histogram("pipeline.adopt_us")
-            .record(watch.elapsedUs());
-    return estimate;
-}
-
-void
-TomographyPipeline::relayWith(const sim::LoweredModule &lowered,
-                              const trace::TimingTrace &delivered,
-                              PipelineResult &result)
-{
-    CT_SPAN("pipeline.relay");
-    obs::StopwatchUs watch;
-    const RelayConfig &cfg = config_.relay;
-    uint64_t base_seed = cfg.seed ? cfg.seed : config_.seed ^ 0x72656c79;
-
-    // The sink condenses its delivered records into an estimator bank
-    // — the same online state a deployed sink holds — and ships that,
-    // not the trace: O(params) bytes per procedure instead of
-    // O(records).
-    double nested_probe_cycles = 2.0 * double(config_.sim.costs.timerRead);
-    net::EstimatorBank bank(*workload_.module, lowered, config_.sim.costs,
-                            config_.sim.policy, config_.sim.cyclesPerTick,
-                            config_.estimatorOptions, nested_probe_cycles);
-    uint16_t mote = config_.transport.moteId;
-    for (const auto &record : delivered.records())
-        bank.observe(mote, record);
-
-    RelayOutcome &out = result.relay;
-    out.enabled = true;
-    out.hops = cfg.hops;
-    relay::Snapshot snapshot =
-        relay::snapshotFromBank(bank, /*id=*/config_.seed, /*source_node=*/0);
-    out.slots = snapshot.slots.size();
-    out.sourceDigest = snapshot.digest();
-
-    // Chain the hops: what tier h adopted is exactly what tier h+1
-    // ships (source node re-stamped to the shipping tier).
-    bool alive = true;
-    for (size_t hop = 0; hop < cfg.hops && alive; ++hop) {
-        snapshot.sourceNode = uint16_t(hop);
-        relay::ShipOutcome ship;
-        auto received = relay::shipAndReceive(
-            snapshot, cfg.ship, base_seed + 0x9e3779b97f4a7c15ULL * hop,
-            ship);
-        out.imageBytes = ship.imageBytes;
-        out.shipments.push_back(ship);
-        if (received)
-            snapshot = std::move(*received);
-        else
-            alive = false;
-    }
-    out.adopted = alive;
-    out.rootDigest = alive ? snapshot.digest() : 0;
-    out.digestMatch = alive && out.rootDigest == out.sourceDigest;
-
-    if (alive && !cfg.snapshotOut.empty()) {
-        relay::writeSnapshotFile(cfg.snapshotOut, snapshot);
-        inform("wrote relay snapshot ", cfg.snapshotOut);
-    }
-    if (alive && cfg.estimateFromSnapshot) {
-        result.estimate = estimateFromSnapshotWith(lowered, snapshot);
-        out.estimateFromSnapshot = true;
-    }
-    if (obs::metricsEnabled()) {
-        auto &m = obs::metrics();
-        m.histogram("pipeline.relay_us").record(watch.elapsedUs());
-        m.counter("relay.pipeline_hops").add(out.shipments.size());
-        m.counter(out.digestMatch ? "relay.pipeline_digest_match"
-                                  : "relay.pipeline_digest_mismatch")
-            .add(1);
-    }
-}
-
 BudgetOutcome
-TomographyPipeline::planBudget(const tomography::ModuleEstimate &estimate)
-{
-    return budgetWith(sim::lowerModule(*workload_.module), estimate);
-}
-
-BudgetOutcome
-TomographyPipeline::budgetWith(const sim::LoweredModule &lowered,
-                               const tomography::ModuleEstimate &estimate)
+TomographyPipeline::planBudget(const tomography::ModuleEstimate &estimate,
+                               const BudgetConfig &cfg)
 {
     CT_SPAN("pipeline.budget");
     obs::StopwatchUs watch;
-    const BudgetConfig &cfg = config_.budget;
 
+    auto lowered = sim::lowerModule(*workload_.module);
     auto theta = causal::normalizeTheta(*workload_.module, estimate.thetas);
     auto instance = budget::buildInstance(
         *workload_.module, lowered, config_.sim.costs, config_.sim.policy,
         workload_.entry, theta, estimate.profile, cfg.spec, cfg.options);
 
     BudgetOutcome out;
-    out.enabled = true;
     out.groups = instance.groups.size();
     for (const auto &group : instance.groups)
         out.candidates += group.candidates.size();
@@ -550,20 +435,7 @@ TomographyPipeline::runStages()
     auto dfs_outcome = submit("dfs", dfs);
     auto perfect_outcome = submit("perfect", perfect);
 
-    trace::TimingTrace delivered;
-    if (config_.transport.enabled) {
-        // Estimate from what actually crossed the simulated radio link,
-        // not from the mote-side trace.
-        delivered = transport(result.measureRun.trace, result.transport);
-    } else {
-        delivered = result.measureRun.trace;
-    }
-    result.estimate = estimateWith(delivered, lowered);
-
-    // Snapshot shipping up the aggregation tiers; may replace the
-    // estimate with the root's snapshot-derived one (config.relay).
-    if (config_.relay.enabled)
-        relayWith(lowered, delivered, result);
+    result.estimate = estimateWith(result.measureRun.trace, lowered);
 
     // Accuracy scoring over every procedure that was actually invoked
     // and has at least one conditional branch.
@@ -589,49 +461,15 @@ TomographyPipeline::runStages()
             maxAbsoluteError(result.estimatedTheta, result.trueTheta);
     }
 
-    if (config_.causalProfile.enabled)
-        result.causal =
-            causalWith(lowered, result.measureRun, result.estimate);
-
-    // Budget-constrained selection over the estimate (the chosen mixed
-    // layout is evaluated below as "budget").
-    if (config_.budget.enabled)
-        result.budget = budgetWith(lowered, result.estimate);
-
-    // The estimate-dependent placements evaluate on this thread.
+    // The estimate-dependent placement evaluates on this thread.
     auto tomography =
         evaluate("tomography", optimize(result.estimate.profile));
-    std::optional<LayoutOutcome> budgeted;
-    if (config_.budget.enabled)
-        budgeted = evaluate("budget", result.budget.orders);
 
     result.outcomes.push_back(natural_outcome.get());
     result.outcomes.push_back(random_outcome.get());
     result.outcomes.push_back(dfs_outcome.get());
     result.outcomes.push_back(std::move(tomography));
     result.outcomes.push_back(perfect_outcome.get());
-    if (budgeted)
-        result.outcomes.push_back(std::move(*budgeted));
-
-    if (config_.pgo.enabled) {
-        CT_SPAN("pipeline.pgo");
-        obs::StopwatchUs watch;
-        // The controller inherits the pipeline-level knobs so its
-        // bootstrap reproduces the "tomography" candidate bitwise.
-        pgo::PgoConfig cfg = config_.pgo;
-        cfg.estimator = config_.estimator;
-        cfg.estimatorOptions = config_.estimatorOptions;
-        cfg.sim = config_.sim;
-        cfg.seed = config_.seed;
-        cfg.jobs = config_.jobs;
-        cfg.measureInvocations = config_.measureInvocations;
-        pgo::ContinuousPgo loop(workload_, cfg);
-        result.pgo.enabled = true;
-        result.pgo.result = loop.run();
-        if (obs::metricsEnabled())
-            obs::metrics().histogram("pipeline.pgo_us")
-                .record(watch.elapsedUs());
-    }
     return result;
 }
 

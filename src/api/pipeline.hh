@@ -19,9 +19,26 @@
  * The reference placements (natural, random, dfs and the "perfect"
  * oracle) need only the measured profile, so run() submits their
  * evaluations to the pool right after measure; they overlap estimate
- * and the opt-in stages on the calling thread, which then optimizes
- * and evaluates "tomography" (and "budget") itself. Outcomes keep the
- * order natural, random, dfs, tomography, perfect[, budget].
+ * on the calling thread, which then optimizes and evaluates
+ * "tomography" itself. Outcomes keep the order natural, random, dfs,
+ * tomography, perfect.
+ *
+ * Everything beyond those four stages is a call the caller composes
+ * around run(), each taking its own config:
+ *
+ *   auto result = pipeline.run();
+ *   api::TransportOutcome shipped;
+ *   auto delivered = pipeline.transport(result.measureRun.trace,
+ *                                       transport_cfg, shipped);
+ *   auto ranking = pipeline.causalProfile(result.measureRun,
+ *                                         result.estimate, causal_cfg);
+ *   auto plan = pipeline.planBudget(result.estimate, budget_cfg);
+ *   result.outcomes.push_back(pipeline.evaluate("budget", plan.orders));
+ *
+ * Relay shipping composes the public ct::relay calls (EstimatorBank ->
+ * relay::snapshotFromBank -> relay::shipAndReceive per hop ->
+ * adoptFromSnapshot; docs/RELAY.md), and continuous PGO constructs a
+ * pgo::ContinuousPgo directly (docs/PGO.md).
  */
 
 #ifndef CT_API_PIPELINE_HH
@@ -36,7 +53,6 @@
 #include "net/channel.hh"
 #include "net/collector.hh"
 #include "net/uplink.hh"
-#include "pgo/pgo.hh"
 #include "relay/relay.hh"
 #include "sim/machine.hh"
 #include "tomography/estimator.hh"
@@ -45,55 +61,42 @@
 namespace ct::api {
 
 /**
- * Opt-in transport stage: ship the measurement trace through a
- * simulated lossy radio link (ct::net) before estimating, so the
- * estimator only sees what a real sink would have collected.
+ * transport(): ship a measurement trace through a simulated lossy
+ * radio link (ct::net), so an estimate from the result sees only what
+ * a real sink would have collected.
  */
 struct TransportConfig
 {
-    /** Off by default: estimate() reads the trace directly. */
-    bool enabled = false;
     /** Mote id stamped on the packets (1-based by convention). */
     uint16_t moteId = 1;
     size_t mtu = net::kDefaultMtu;
     net::ChannelConfig channel;
     net::UplinkConfig uplink;
+    /** Sink knobs; collector.storeDir persists every delivered
+     *  record to a durable store (WAL + crash recovery, docs/STORE.md). */
     net::CollectorConfig collector;
     /** Channel seed; 0 = derive from the pipeline seed. */
     uint64_t seed = 0;
-
-    /// @name Durability (ct::store)
-    /// @{
     /**
-     * When non-empty, the sink persists every delivered record to a
-     * durable store at this directory (WAL + crash recovery — see
-     * docs/STORE.md). Shorthand for collector.storeDir.
-     */
-    std::string storeDir;
-    /** Durability knobs, honored only when storeDir is set. */
-    store::StoreConfig store;
-    /**
-     * Resume a persisted campaign: records recovered from storeDir
-     * are prepended to this run's delivered trace (invocations
-     * renumbered per procedure), so an interrupted campaign restarted
-     * on the same directory estimates from the union of both runs.
+     * Resume a persisted campaign: records recovered from
+     * collector.storeDir are prepended to this run's delivered trace
+     * (invocations renumbered per procedure), so an interrupted
+     * campaign restarted on the same directory estimates from the
+     * union of both runs.
      */
     bool resumeFromStore = false;
-    /// @}
 };
 
 /**
- * Opt-in analysis stage: build a ct::causal what-if profile on the
- * natural layout, ranking procedures by the end-to-end cycles (and
- * TelosB energy) a perfect placement of each would recover — the
- * prioritizer that tells the placement loop which procedure to fix
- * first (docs/CAUSAL.md).
+ * causalProfile(): a ct::causal what-if profile on the natural layout,
+ * ranking procedures by the end-to-end cycles (and TelosB energy) a
+ * perfect placement of each would recover — the prioritizer that
+ * tells the placement loop which procedure to fix first
+ * (docs/CAUSAL.md). Costs one chain solve per procedure plus one
+ * linear fold per (procedure, dial).
  */
 struct CausalConfig
 {
-    /** Off by default: the stage costs one chain solve per procedure
-     *  plus one linear fold per (procedure, dial). */
-    bool enabled = false;
     /** Dial sweep per procedure (1.0 is always implied). */
     std::vector<double> dials = {0.25, 0.5, 0.75, 1.0};
     /** Also rank individual branch blocks. */
@@ -112,52 +115,17 @@ struct CausalConfig
 };
 
 /**
- * Opt-in relay stage: condense the sink's estimator bank into a
- * ct::relay snapshot and ship it up a chain of aggregation hops
- * (sink -> region -> root), each hop a fragmented, CRC-framed,
- * selective-repeat transfer over its own lossy link (docs/RELAY.md).
- * The stage proves the deployment story end to end: the root's
- * adopted state must carry the same digest the sink started from.
- */
-struct RelayConfig
-{
-    /** Off by default: the estimate never leaves the sink. */
-    bool enabled = false;
-    /** Aggregation hops the snapshot crosses (2 = sink -> region ->
-     *  root). 0 is allowed: encode + adopt locally, no wire. */
-    size_t hops = 2;
-    /** Per-hop shipping knobs (every hop uses the same ones; hop h
-     *  gets its own channel seed derived from seed and h). */
-    relay::ShipConfig ship;
-    /** Base seed; 0 = derive from the pipeline seed. */
-    uint64_t seed = 0;
-    /** When non-empty, write the root's adopted snapshot image here
-     *  (`.ctsnap`, inspectable with store_tool snapshot). */
-    std::string snapshotOut;
-    /**
-     * Replace the pipeline's estimate with one derived from the
-     * root's adopted snapshot (relay::estimateFromSnapshot), so the
-     * placement stage optimizes from exactly what survived the relay
-     * — the paper's estimation-at-the-root deployment. Ignored when
-     * the shipment failed (the sink-side estimate stands).
-     */
-    bool estimateFromSnapshot = false;
-};
-
-/**
- * Opt-in budgeted-placement stage (docs/BUDGET.md): after estimation,
- * price per-procedure candidate layouts with the causal model and
- * select the best set that fits a reprogramming budget (flash pages,
- * RAM bytes, energy). The selected mixed layout is evaluated alongside
- * the unconstrained candidates as a "budget" outcome, so a run shows
- * directly what the constraint costs against the tomography placement.
+ * planBudget() (docs/BUDGET.md): price per-procedure candidate layouts
+ * from an estimate with the causal model and select the best set that
+ * fits a reprogramming budget (flash pages, RAM bytes, energy).
+ * Evaluating the plan's orders next to the unconstrained candidates
+ * shows directly what the constraint costs against the tomography
+ * placement.
  */
 struct BudgetConfig
 {
-    /** Off by default: the unconstrained pipeline is the paper's. */
-    bool enabled = false;
     /** The mote's reprogramming budget (default: unlimited, in which
-     *  case the stage degenerates to the tomography placement). */
+     *  case the plan degenerates to the tomography placement). */
     budget::BudgetSpec spec;
     /** Candidate pricing knobs (strategies, cost model, energy
      *  weight). */
@@ -204,34 +172,11 @@ struct PipelineConfig
      */
     std::string metricsOut;
     /// @}
-
-    /** Simulated mote-to-sink link between measure and estimate. */
-    TransportConfig transport;
-
-    /** What-if causal profiling after estimation (off by default). */
-    CausalConfig causalProfile;
-
-    /** Budget-constrained placement selection (off by default). */
-    BudgetConfig budget;
-
-    /** Snapshot shipping up the aggregation tiers (off by default). */
-    RelayConfig relay;
-
-    /**
-     * Opt-in closed-loop stage (docs/PGO.md): after the one-shot
-     * evaluation, keep running the workload in windows under a
-     * continuous-PGO controller with drift-triggered re-placement.
-     * The controller inherits the pipeline's estimator, sim config,
-     * seed, jobs, and measureInvocations, so its bootstrap placement
-     * is bitwise the "tomography" candidate evaluated above.
-     */
-    pgo::PgoConfig pgo;
 };
 
-/** What the transport stage did (all zero when disabled). */
+/** What transport() did. */
 struct TransportOutcome
 {
-    bool enabled = false;
     bool complete = false; //!< sink accepted every packet
     size_t packets = 0;
     uint64_t rounds = 0;
@@ -246,31 +191,6 @@ struct TransportOutcome
     net::CollectorStats collector;
 };
 
-/** What the relay stage did (all zero when disabled). */
-struct RelayOutcome
-{
-    bool enabled = false;
-    /** Every hop completed and the root validated its adoption. */
-    bool adopted = false;
-    size_t hops = 0;
-    /** Estimator slots the sink condensed into the snapshot. */
-    size_t slots = 0;
-    size_t imageBytes = 0;
-    /** Digest of the sink's bank at the ship point. */
-    uint64_t sourceDigest = 0;
-    /** Digest recomputed from the root's adopted slots. */
-    uint64_t rootDigest = 0;
-    /** sourceDigest == rootDigest (the stage's invariant). */
-    bool digestMatch = false;
-    /** The estimate came from the adopted snapshot, not the trace. */
-    bool estimateFromSnapshot = false;
-    /** Per-hop shipping outcomes, in hop order. */
-    std::vector<relay::ShipOutcome> shipments;
-
-    uint64_t totalWireBytes() const;
-    uint64_t totalRounds() const;
-};
-
 /** One procedure's budget decision, for reporting. */
 struct BudgetChoice
 {
@@ -280,10 +200,9 @@ struct BudgetChoice
     uint64_t flashBytes = 0;
 };
 
-/** What the budget stage decided (enabled == false when skipped). */
+/** What planBudget() decided. */
 struct BudgetOutcome
 {
-    bool enabled = false;
     /** The solved plan: chosen assignment, solver gap, binding
      *  dimensions, upgrade/deferred counts. */
     budget::BudgetPlan plan;
@@ -295,15 +214,8 @@ struct BudgetOutcome
     std::vector<BudgetChoice> choices;
     /** Materialized per-procedure orders of the chosen assignment
      *  (empty order = keep = natural, the pipeline's current layout);
-     *  what the appended "budget" outcome evaluates. */
+     *  what a "budget" evaluation runs. */
     std::vector<sim::BlockOrder> orders;
-};
-
-/** What the closed-loop stage did (enabled == false when skipped). */
-struct PgoOutcome
-{
-    bool enabled = false;
-    pgo::PgoResult result;
 };
 
 /** Simulated outcome of one placement. */
@@ -325,12 +237,7 @@ struct PipelineResult
 {
     /** The measurement campaign (trace + ground truth). */
     sim::RunResult measureRun;
-    /** The simulated uplink (enabled == false when skipped). */
-    TransportOutcome transport;
-    /** Snapshot shipping (enabled == false when skipped). */
-    RelayOutcome relay;
-    /** Tomography's output (snapshot-derived when the relay stage ran
-     *  with estimateFromSnapshot and the shipment succeeded). */
+    /** Tomography's output, estimated from measureRun.trace. */
     tomography::ModuleEstimate estimate;
 
     /// @name Estimation accuracy (evaluation-only; uses ground truth)
@@ -343,18 +250,9 @@ struct PipelineResult
     double branchMaxError = 0.0;
     /// @}
 
-    /** Outcomes in order: natural, random, dfs, tomography, perfect —
-     *  plus "budget" appended when that stage is enabled. */
+    /** Outcomes in order: natural, random, dfs, tomography, perfect
+     *  (callers may append their own evaluations, e.g. "budget"). */
     std::vector<LayoutOutcome> outcomes;
-
-    /** Ranked what-if profile (empty when the stage is disabled). */
-    causal::CausalProfile causal;
-
-    /** Budgeted placement selection (enabled == false when skipped). */
-    BudgetOutcome budget;
-
-    /** Closed-loop continuous PGO (enabled == false when skipped). */
-    PgoOutcome pgo;
 
     /** Convenience accessors; fatal() if the name is absent. */
     const LayoutOutcome &outcome(const std::string &name) const;
@@ -387,13 +285,12 @@ class TomographyPipeline
     /// @{
     sim::RunResult measure();
     /**
-     * Ship @p trace through the configured lossy link and return what
-     * the sink reassembled (identical to the input when nothing was
-     * lost past the retransmit budget). Runs even when
-     * config.transport.enabled is false — the flag only gates whether
-     * runStages() routes the trace through here.
+     * Ship @p trace through the lossy link @p config describes and
+     * return what the sink reassembled (identical to the input when
+     * nothing was lost past the retransmit budget).
      */
     trace::TimingTrace transport(const trace::TimingTrace &trace,
+                                 const TransportConfig &config,
                                  TransportOutcome &outcome);
     /**
      * Reconstruct the durable record prefix of a store directory as a
@@ -421,23 +318,23 @@ class TomographyPipeline
     std::optional<tomography::ModuleEstimate>
     adoptFromSnapshotFile(const std::string &path);
     /**
-     * Build the what-if causal profile per config.causalProfile from a
+     * Build the what-if causal profile per @p config from a
      * measurement run and the estimate derived from it (the estimate is
      * unused when useTrueProfile is set). Writes the configured JSON /
      * CSV exports and records causal.* metrics.
      */
     causal::CausalProfile causalProfile(
         const sim::RunResult &measure_run,
-        const tomography::ModuleEstimate &estimate);
+        const tomography::ModuleEstimate &estimate,
+        const CausalConfig &config);
     std::vector<sim::BlockOrder> optimize(const ir::ModuleProfile &profile);
     /**
-     * Budget-constrained placement selection per config.budget: price
+     * Budget-constrained placement selection per @p config: price
      * candidate layouts from @p estimate with the causal model against
-     * the natural layout and solve the knapsack. Runs regardless of
-     * config.budget.enabled — the flag only gates whether runStages()
-     * calls this and evaluates the result.
+     * the natural layout and solve the knapsack.
      */
-    BudgetOutcome planBudget(const tomography::ModuleEstimate &estimate);
+    BudgetOutcome planBudget(const tomography::ModuleEstimate &estimate,
+                             const BudgetConfig &config);
     LayoutOutcome evaluate(const std::string &name,
                            const std::vector<sim::BlockOrder> &orders);
     /// @}
@@ -456,23 +353,6 @@ class TomographyPipeline
     sim::RunResult measureWith(const sim::LoweredModule &lowered);
     tomography::ModuleEstimate estimateWith(const trace::TimingTrace &trace,
                                             const sim::LoweredModule &lowered);
-    causal::CausalProfile causalWith(
-        const sim::LoweredModule &lowered, const sim::RunResult &measure_run,
-        const tomography::ModuleEstimate &estimate);
-    /**
-     * The relay stage body: condense @p delivered into a bank, ship
-     * the snapshot across config.relay.hops chained lossy links, and
-     * fill @p result.relay (possibly replacing result.estimate when
-     * estimateFromSnapshot is set and every hop completed).
-     */
-    void relayWith(const sim::LoweredModule &lowered,
-                   const trace::TimingTrace &delivered,
-                   PipelineResult &result);
-    tomography::ModuleEstimate
-    estimateFromSnapshotWith(const sim::LoweredModule &lowered,
-                             const relay::Snapshot &snapshot);
-    BudgetOutcome budgetWith(const sim::LoweredModule &lowered,
-                             const tomography::ModuleEstimate &estimate);
     /// @}
 
     workloads::Workload workload_;

@@ -94,64 +94,6 @@ renderReport(const workloads::Workload &workload,
         table.print(os);
     }
 
-    if (!result.causal.procs.empty()) {
-        const auto &cp = result.causal;
-        os << "\n";
-        TablePrinter table("causal what-if ranking (analytic, dial 1.0)");
-        table.setHeader({"procedure", "causal rank", "flat rank",
-                         "delta cyc/event", "speedup %", "delta uJ/event",
-                         "flat share %"});
-        for (const auto &p : cp.procs) {
-            table.row(p.name, p.causalRank, p.flatRank,
-                      p.deltaCyclesPerEvent, p.virtualSpeedupPct,
-                      p.deltaEnergyMicrojoulesPerEvent, p.flatSharePct);
-        }
-        table.print(os);
-        os << "baseline " << formatDouble(cp.baselineCyclesPerEvent, 2)
-           << " cycles/event; perfect placement everywhere recovers at most "
-           << formatDouble(cp.totalPenaltyCyclesPerEvent, 2)
-           << " of them; " << cp.rankDisagreements << " of "
-           << cp.procs.size()
-           << " procedures rank differently than in the flat profile\n";
-    }
-
-    if (result.budget.enabled) {
-        const auto &b = result.budget;
-        os << "\n";
-        TablePrinter table("budgeted placement (" + b.plan.solver +
-                           " solver)");
-        table.setHeader({"metric", "value"});
-        table.row("groups", b.groups);
-        table.row("upgrades chosen", b.plan.upgrades);
-        table.row("upgrades deferred", b.plan.deferred);
-        table.row("gain (cycles/event)",
-                  b.plan.assignment.gainCyclesPerEvent);
-        table.row("gain (uJ/event)",
-                  b.plan.assignment.gainEnergyMicrojoulesPerEvent);
-        table.row("flash used (B)", b.plan.assignment.usage.flashBytes);
-        table.row("ram used (B)", b.plan.assignment.usage.ramBytes);
-        table.row("energy used (nJ)",
-                  b.plan.assignment.usage.energyNanojoules);
-        table.print(os);
-        std::string binding;
-        if (b.plan.flashBinding)
-            binding += " flash";
-        if (b.plan.ramBinding)
-            binding += " ram";
-        if (b.plan.energyBinding)
-            binding += " energy";
-        os << "binding constraints:" << (binding.empty() ? " none" : binding)
-           << "; ";
-        if (b.plan.exactRan) {
-            os << "greedy is within "
-               << formatDouble(b.plan.optimalityGapPct, 3)
-               << "% of the exact optimum\n";
-        } else {
-            os << "exact solver skipped (" << b.plan.exactSkipReason
-               << ")\n";
-        }
-    }
-
     os << "\nbottom line: the tomography-guided placement saves "
        << formatDouble(result.cyclesImprovementPct(), 2) << "% cycles and "
        << formatDouble(result.energyImprovementPct(), 2)
@@ -159,6 +101,68 @@ renderReport(const workloads::Workload &workload,
        << formatDouble(result.perfectImprovementPct(), 2)
        << "%), cutting the misprediction rate by "
        << formatDouble(result.mispredictReduction(), 4) << " absolute.\n";
+    return os.str();
+}
+
+std::string
+renderCausal(const causal::CausalProfile &cp)
+{
+    std::ostringstream os;
+    TablePrinter table("causal what-if ranking (analytic, dial 1.0)");
+    table.setHeader({"procedure", "causal rank", "flat rank",
+                     "delta cyc/event", "speedup %", "delta uJ/event",
+                     "flat share %"});
+    for (const auto &p : cp.procs) {
+        table.row(p.name, p.causalRank, p.flatRank,
+                  p.deltaCyclesPerEvent, p.virtualSpeedupPct,
+                  p.deltaEnergyMicrojoulesPerEvent, p.flatSharePct);
+    }
+    table.print(os);
+    os << "baseline " << formatDouble(cp.baselineCyclesPerEvent, 2)
+       << " cycles/event; perfect placement everywhere recovers at most "
+       << formatDouble(cp.totalPenaltyCyclesPerEvent, 2)
+       << " of them; " << cp.rankDisagreements << " of "
+       << cp.procs.size()
+       << " procedures rank differently than in the flat profile\n";
+    return os.str();
+}
+
+std::string
+renderBudget(const BudgetOutcome &b)
+{
+    std::ostringstream os;
+    TablePrinter table("budgeted placement (" + b.plan.solver +
+                       " solver)");
+    table.setHeader({"metric", "value"});
+    table.row("groups", b.groups);
+    table.row("upgrades chosen", b.plan.upgrades);
+    table.row("upgrades deferred", b.plan.deferred);
+    table.row("gain (cycles/event)",
+              b.plan.assignment.gainCyclesPerEvent);
+    table.row("gain (uJ/event)",
+              b.plan.assignment.gainEnergyMicrojoulesPerEvent);
+    table.row("flash used (B)", b.plan.assignment.usage.flashBytes);
+    table.row("ram used (B)", b.plan.assignment.usage.ramBytes);
+    table.row("energy used (nJ)",
+              b.plan.assignment.usage.energyNanojoules);
+    table.print(os);
+    std::string binding;
+    if (b.plan.flashBinding)
+        binding += " flash";
+    if (b.plan.ramBinding)
+        binding += " ram";
+    if (b.plan.energyBinding)
+        binding += " energy";
+    os << "binding constraints:" << (binding.empty() ? " none" : binding)
+       << "; ";
+    if (b.plan.exactRan) {
+        os << "greedy is within "
+           << formatDouble(b.plan.optimalityGapPct, 3)
+           << "% of the exact optimum\n";
+    } else {
+        os << "exact solver skipped (" << b.plan.exactSkipReason
+           << ")\n";
+    }
     return os.str();
 }
 

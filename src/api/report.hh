@@ -5,7 +5,8 @@
  * Renders a PipelineResult into the narrative a developer acts on:
  * what was measured, how trustworthy the estimate is (diagnostics
  * included), what each candidate placement costs, and the bottom-line
- * recommendation.
+ * recommendation. The causal ranking and the budget plan, which callers
+ * compute around run(), render as sections of their own.
  */
 
 #ifndef CT_API_REPORT_HH
@@ -35,6 +36,14 @@ std::string renderReport(const workloads::Workload &workload,
                          const PipelineConfig &config,
                          const PipelineResult &result,
                          const ReportOptions &options = {});
+
+/** The what-if ranking table of TomographyPipeline::causalProfile()
+ *  plus its one-line summary. */
+std::string renderCausal(const causal::CausalProfile &profile);
+
+/** The plan table of TomographyPipeline::planBudget() plus its
+ *  binding-constraint and solver-gap line. */
+std::string renderBudget(const BudgetOutcome &outcome);
 
 } // namespace ct::api
 

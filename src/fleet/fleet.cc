@@ -135,8 +135,7 @@ ShardedCollector::~ShardedCollector() = default;
 std::unique_lock<std::mutex>
 ShardedCollector::lockFor(size_t shard)
 {
-    size_t victim = config_.locking == Locking::Global ? 0 : shard;
-    return std::unique_lock<std::mutex>(shards_[victim]->mutex);
+    return std::unique_lock<std::mutex>(shards_[shard]->mutex);
 }
 
 std::optional<net::Ack>
@@ -283,70 +282,34 @@ monotonicNanos()
         .count();
 }
 
-/** Independent seed stream for one template mote. */
-struct TemplateSeeds
-{
-    uint64_t sim, inputs;
-};
-
-TemplateSeeds
-seedsFor(uint64_t fleet_seed, size_t index)
-{
-    uint64_t state =
-        fleet_seed ^ 0x9e3779b97f4a7c15ULL * (uint64_t(index) + 1);
-    TemplateSeeds seeds;
-    seeds.sim = splitmix64(state);
-    seeds.inputs = splitmix64(state);
-    return seeds;
-}
-
-/** One logical mote's frames inside the arena. */
-struct MotePlan
-{
-    uint16_t wire = 0;
-    uint32_t firstFrame = 0;
-    uint32_t frameCount = 0;
-};
-
-/** Pre-framed campaign traffic: every frame of every logical mote,
- *  flat, grouped per shard — built outside the timed region. */
-struct FrameArena
-{
-    std::vector<uint8_t> bytes;
-    std::vector<std::pair<size_t, size_t>> frames; //!< (offset, size)
-    std::vector<std::vector<MotePlan>> perShard;
-};
+} // namespace
 
 FrameArena
-buildArena(const workloads::Workload &workload,
-           const sim::LoweredModule &lowered, const sim::SimConfig &sim_config,
-           const ShardedFleetConfig &config, const ShardLayout &layout)
+buildFrameArena(const workloads::Workload &workload,
+                const sim::LoweredModule &lowered,
+                const sim::SimConfig &sim_config, size_t motes,
+                size_t invocations, size_t templates, uint64_t seed,
+                size_t mtu)
 {
-    // Simulate a few template motes; a campaign's motes re-stamp the
-    // template payloads with their own wire id (the header + CRC are
-    // per mote, the payload bytes are not).
-    size_t templates = std::max<size_t>(1, std::min(config.templates,
-                                                    config.motes));
+    templates = std::max<size_t>(1, std::min(templates, motes));
     std::vector<std::vector<std::vector<uint8_t>>> payloads(templates);
     for (size_t t = 0; t < templates; ++t) {
-        TemplateSeeds seeds = seedsFor(config.seed, t);
-        auto inputs = workload.makeInputs(seeds.inputs);
+        // Independent seed stream per template mote.
+        uint64_t state = seed ^ 0x9e3779b97f4a7c15ULL * (uint64_t(t) + 1);
+        uint64_t sim_seed = splitmix64(state);
+        uint64_t input_seed = splitmix64(state);
+        auto inputs = workload.makeInputs(input_seed);
         sim::Simulator simulator(*workload.module, lowered, sim_config,
-                                 *inputs, seeds.sim);
-        auto run = simulator.run(workload.entry, config.invocations);
-        for (auto &packet :
-             net::packetizeTrace(run.trace, /*mote=*/0, config.mtu))
+                                 *inputs, sim_seed);
+        auto run = simulator.run(workload.entry, invocations);
+        for (auto &packet : net::packetizeTrace(run.trace, /*mote=*/0, mtu))
             payloads[t].push_back(std::move(packet.payload));
     }
 
     FrameArena arena;
-    arena.perShard.resize(layout.shards());
-    for (size_t i = 0; i < config.motes; ++i) {
-        // 48271 is coprime to 65535, so i -> wire is a bijection per
-        // 65535-mote wave that *spreads* ids across the space — every
-        // shard range gets its share of any campaign size — while
-        // staying independent of the shard count (the digest
-        // invariant). Id 0 is reserved, as in net::runFleet.
+    arena.motes.reserve(motes);
+    for (size_t i = 0; i < motes; ++i) {
+        // 48271 is coprime to 65535 (see the header comment).
         uint16_t wire = uint16_t(1 + (i % 65535) * 48271ULL % 65535);
         const auto &split = payloads[i % templates];
         MotePlan plan;
@@ -363,12 +326,10 @@ buildArena(const workloads::Workload &workload,
             arena.bytes.insert(arena.bytes.end(), frame.begin(),
                                frame.end());
         }
-        arena.perShard[layout.shardOf(wire)].push_back(plan);
+        arena.motes.push_back(plan);
     }
     return arena;
 }
-
-} // namespace
 
 uint64_t
 ShardedFleetResult::totalFrames() const
@@ -420,8 +381,13 @@ runShardedFleet(const workloads::Workload &workload,
 
     ShardLayout layout(config.collector.shards);
     obs::StopwatchUs build_watch;
-    FrameArena arena =
-        buildArena(workload, lowered, sim_config, config, layout);
+    FrameArena arena = buildFrameArena(workload, lowered, sim_config,
+                                       config.motes, config.invocations,
+                                       config.templates, config.seed,
+                                       config.mtu);
+    std::vector<std::vector<MotePlan>> per_shard(layout.shards());
+    for (const MotePlan &plan : arena.motes)
+        per_shard[layout.shardOf(plan.wire)].push_back(plan);
 
     auto sharded_owner = std::make_unique<ShardedCollector>(
         *workload.module, lowered, sim_config.costs, sim_config.policy,
@@ -442,12 +408,11 @@ runShardedFleet(const workloads::Workload &workload,
         ShardOutcome out;
         out.shard = s;
         int64_t shard_start = obs::monotonicMicros();
-        for (const MotePlan &plan : arena.perShard[s]) {
+        for (const MotePlan &plan : per_shard[s]) {
             int64_t mote_start = monotonicNanos();
             for (uint32_t f = 0; f < plan.frameCount; ++f) {
-                const auto &[offset, size] =
-                    arena.frames[plan.firstFrame + f];
-                sharded.offer(arena.bytes.data() + offset, size);
+                auto [frame, size] = arena.frame(plan, f);
+                sharded.offer(frame, size);
             }
             sharded.evictMote(plan.wire);
             latencies[s].add(monotonicNanos() - mote_start);

@@ -24,11 +24,9 @@
  *     unchanged, and sharded recovery is just per-shard recovery plus
  *     the exact merge.
  *
- * Concurrency: offer() takes the owning shard's mutex (or one global
- * mutex in Locking::Global mode, kept for measuring what the sharding
- * buys — see bench/bench_fleet.cc). When the ingest fan-out assigns
- * whole shards to workers, the per-shard locks are uncontended and the
- * ingest path is wait-free in practice.
+ * Concurrency: offer() takes the owning shard's mutex. When the ingest
+ * fan-out assigns whole shards to workers, the per-shard locks are
+ * uncontended and the ingest path is wait-free in practice.
  *
  * Determinism: a shard's final state depends only on the frames routed
  * to it and their per-mote order, never on scheduling; mergedSnapshot()
@@ -45,10 +43,12 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "budget/budget.hh"
 #include "net/collector.hh"
+#include "sim/machine.hh"
 #include "stats/histogram.hh"
 #include "tomography/estimator.hh"
 #include "workloads/workload.hh"
@@ -81,18 +81,6 @@ class ShardLayout
     size_t width_;
 };
 
-/** How offer() serializes against concurrent callers. */
-enum class Locking
-{
-    /** One mutex per shard: callers touching different shards never
-     *  contend. The default, and what the fan-out drivers use. */
-    PerShard,
-    /** One mutex across all shards — deliberately the contended
-     *  configuration, kept so bench_fleet can measure the cost the
-     *  per-shard design removes. */
-    Global,
-};
-
 /** Knobs for a sharded collection pipeline. */
 struct ShardedCollectorConfig
 {
@@ -115,7 +103,6 @@ struct ShardedCollectorConfig
     /** Keep reassembled per-mote traces (off: fleet-scale footprint;
      *  see net::CollectorConfig::retainTraces). */
     bool retainTraces = false;
-    Locking locking = Locking::PerShard;
     /** Prefix for this pipeline's obs metrics. */
     std::string metricsScope = "fleet.";
 };
@@ -123,7 +110,8 @@ struct ShardedCollectorConfig
 /**
  * The sharded collection pipeline: per shard one SinkCollector (CRC,
  * dedupe, reorder, skip-ahead), one EstimatorBank, and optionally one
- * durable store. Thread-safe per the Locking mode; everything else
+ * durable store. offer(), finalizeMote() and evictMote() are
+ * thread-safe, serialized per shard; everything else
  * (accessors, merges, checkpoints) expects ingest to be quiesced,
  * matching the export contract everywhere else in the library.
  */
@@ -353,6 +341,51 @@ struct ShardedFleetResult
     /** Campaign records / ingestSeconds. */
     double recordsPerSecond() const;
 };
+
+/** One logical mote's frames inside a FrameArena. */
+struct MotePlan
+{
+    uint16_t wire = 0;
+    uint32_t firstFrame = 0;
+    uint32_t frameCount = 0;
+};
+
+/**
+ * Pre-framed campaign traffic: every frame of every logical mote,
+ * flat, with one MotePlan per logical mote in ascending logical order.
+ * Drivers group the plans themselves (runShardedFleet by shard, the
+ * relay tree by leaf), keeping that order within each group.
+ */
+struct FrameArena
+{
+    std::vector<uint8_t> bytes;
+    std::vector<std::pair<size_t, size_t>> frames; //!< (offset, size)
+    std::vector<MotePlan> motes;
+
+    /** Frame @p f of @p plan as (pointer, size). */
+    std::pair<const uint8_t *, size_t> frame(const MotePlan &plan,
+                                             uint32_t f) const
+    {
+        const auto &[offset, size] = frames[plan.firstFrame + f];
+        return {bytes.data() + offset, size};
+    }
+};
+
+/**
+ * Build the arena for @p motes logical motes: simulate `templates`
+ * template motes (probes on, @p invocations each, seeds derived from
+ * @p seed and the template index), then re-stamp the template payloads
+ * with each logical mote's wire id — the header and CRC are per mote,
+ * the payload bytes are not. Logical mote i gets wire id
+ * 1 + (i mod 65535) * 48271 mod 65535: a bijection per 65535-mote
+ * wave that spreads ids across the space independently of any
+ * grouping (id 0 is reserved, as in net::runFleet).
+ */
+FrameArena buildFrameArena(const workloads::Workload &workload,
+                           const sim::LoweredModule &lowered,
+                           const sim::SimConfig &sim_config, size_t motes,
+                           size_t invocations, size_t templates,
+                           uint64_t seed, size_t mtu);
 
 /**
  * Run one ingest campaign: simulate `templates` motes of @p workload

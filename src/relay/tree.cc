@@ -7,6 +7,7 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/machine.hh"
+#include "stats/rng.hh"
 #include "util/logging.hh"
 
 namespace ct::relay {
@@ -111,15 +112,6 @@ RelayTreeResult::totalImageBytes() const
 
 namespace {
 
-uint64_t
-splitmix64(uint64_t &state)
-{
-    uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 /** Per-link channel seed: a function of the campaign seed and the
  *  child node id only, so the fault schedule of every link is fixed
  *  regardless of jobs count or aggregation interleaving. */
@@ -131,86 +123,16 @@ linkSeed(uint64_t campaign_seed, size_t child)
     return splitmix64(state);
 }
 
-/** One logical mote's frames inside the arena. */
-struct MotePlan
-{
-    uint16_t wire = 0;
-    uint32_t firstFrame = 0;
-    uint32_t frameCount = 0;
-};
-
-/** Pre-framed campaign traffic grouped per leaf — the same template
- *  re-stamping fleet::runShardedFleet uses, except motes partition
- *  contiguously across the *leaves*, so leaf banks cover disjoint
- *  (mote, proc) keys and every upward merge is the exact case. */
-struct FrameArena
-{
-    std::vector<uint8_t> bytes;
-    std::vector<std::pair<size_t, size_t>> frames; //!< (offset, size)
-    std::vector<std::vector<MotePlan>> perLeaf;
-};
-
-FrameArena
-buildArena(const workloads::Workload &workload,
-           const sim::LoweredModule &lowered,
-           const sim::SimConfig &sim_config, const RelayTreeConfig &config,
-           size_t leaf_count)
-{
-    size_t templates =
-        std::max<size_t>(1, std::min(config.templates, config.motes));
-    std::vector<std::vector<std::vector<uint8_t>>> payloads(templates);
-    for (size_t t = 0; t < templates; ++t) {
-        uint64_t state =
-            config.seed ^ 0x9e3779b97f4a7c15ULL * (uint64_t(t) + 1);
-        uint64_t sim_seed = splitmix64(state);
-        uint64_t input_seed = splitmix64(state);
-        auto inputs = workload.makeInputs(input_seed);
-        sim::Simulator simulator(*workload.module, lowered, sim_config,
-                                 *inputs, sim_seed);
-        auto run = simulator.run(workload.entry, config.invocations);
-        for (auto &packet :
-             net::packetizeTrace(run.trace, /*mote=*/0, config.ingestMtu))
-            payloads[t].push_back(std::move(packet.payload));
-    }
-
-    FrameArena arena;
-    arena.perLeaf.resize(leaf_count);
-    for (size_t i = 0; i < config.motes; ++i) {
-        // Same wire-id bijection as the fleet campaigns (id 0
-        // reserved, ids spread across the space); the leaf partition
-        // slices the *logical* index range, so each leaf owns a
-        // disjoint set of wire ids no matter how they scatter.
-        uint16_t wire = uint16_t(1 + (i % 65535) * 48271ULL % 65535);
-        const auto &split = payloads[i % templates];
-        MotePlan plan;
-        plan.wire = wire;
-        plan.firstFrame = uint32_t(arena.frames.size());
-        plan.frameCount = uint32_t(split.size());
-        for (size_t seq = 0; seq < split.size(); ++seq) {
-            net::Packet packet;
-            packet.mote = wire;
-            packet.seq = uint32_t(seq);
-            packet.payload = split[seq];
-            auto frame = net::serializePacket(packet);
-            arena.frames.emplace_back(arena.bytes.size(), frame.size());
-            arena.bytes.insert(arena.bytes.end(), frame.begin(),
-                               frame.end());
-        }
-        arena.perLeaf[i * leaf_count / config.motes].push_back(
-            std::move(plan));
-    }
-    return arena;
-}
-
 /** Feed one mote plan's frames into @p collector and evict. */
 uint64_t
-ingestPlans(const FrameArena &arena, const std::vector<MotePlan> &plans,
+ingestPlans(const fleet::FrameArena &arena,
+            const std::vector<fleet::MotePlan> &plans,
             net::SinkCollector &collector)
 {
-    for (const MotePlan &plan : plans) {
+    for (const fleet::MotePlan &plan : plans) {
         for (uint32_t f = 0; f < plan.frameCount; ++f) {
-            const auto &[offset, size] = arena.frames[plan.firstFrame + f];
-            collector.offer(arena.bytes.data() + offset, size);
+            auto [frame, size] = arena.frame(plan, f);
+            collector.offer(frame, size);
         }
         collector.evictMote(plan.wire);
     }
@@ -235,8 +157,17 @@ runRelayTree(const workloads::Workload &workload,
     sim_config.timingProbes = true;
     double nested_probe = 2.0 * double(sim_config.costs.timerRead);
 
-    FrameArena arena = buildArena(workload, lowered, sim_config, config,
-                                  leaf_nodes.size());
+    // The fleet's template re-stamping, except motes partition
+    // contiguously over the *logical* index range across the leaves,
+    // so leaf banks cover disjoint (mote, proc) keys and every upward
+    // merge is the exact case.
+    auto arena = fleet::buildFrameArena(
+        workload, lowered, sim_config, config.motes, config.invocations,
+        config.templates, config.seed, config.ingestMtu);
+    std::vector<std::vector<fleet::MotePlan>> per_leaf(leaf_nodes.size());
+    for (size_t i = 0; i < config.motes; ++i)
+        per_leaf[i * leaf_nodes.size() / config.motes].push_back(
+            arena.motes[i]);
 
     // One estimator bank per tree node. Leaf banks fill from ingest;
     // interior banks only ever receive shipped snapshots.
@@ -265,7 +196,7 @@ runRelayTree(const workloads::Workload &workload,
             collector_config.retainTraces = false;
             net::SinkCollector collector(collector_config);
             collector.setRecordSink(banks[leaf_nodes[j]].sink());
-            return ingestPlans(arena, arena.perLeaf[j], collector);
+            return ingestPlans(arena, per_leaf[j], collector);
         });
     result.ingestSeconds = double(ingest_watch.elapsedUs()) / 1e6;
     for (uint64_t records : leaf_records)
@@ -330,7 +261,7 @@ runRelayTree(const workloads::Workload &workload,
         collector_config.retainTraces = false;
         net::SinkCollector collector(collector_config);
         collector.setRecordSink(flat.sink());
-        for (const auto &plans : arena.perLeaf)
+        for (const auto &plans : per_leaf)
             ingestPlans(arena, plans, collector);
         result.flatDigest = fleet::snapshotDigest(flat.snapshot());
         result.digestMatch = result.rootDigest == result.flatDigest;

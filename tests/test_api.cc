@@ -190,25 +190,42 @@ TEST(Pipeline, OverlappedStagesMatchSerialWithObsAndBudget)
         }
     } obs_on;
 
-    auto config = fastConfig();
-    config.transport.enabled = true;
-    config.causalProfile.enabled = true;
-    config.budget.enabled = true;
-    config.budget.spec.flashPages = 1;
-    auto serial_config = config;
-    serial_config.jobs = 1;
-    auto parallel_config = config;
-    parallel_config.jobs = 4;
+    // The caller composes transport, causal and budget after run().
+    struct Composed
+    {
+        PipelineResult result;
+        TransportOutcome transport;
+        causal::CausalProfile causal;
+        BudgetOutcome budget;
+    };
+    auto compose = [](size_t jobs) {
+        auto config = fastConfig();
+        config.jobs = jobs;
+        TomographyPipeline pipeline(workloads::makeCrc16(), config);
+        Composed out;
+        out.result = pipeline.run();
+        pipeline.transport(out.result.measureRun.trace, TransportConfig{},
+                           out.transport);
+        out.causal = pipeline.causalProfile(out.result.measureRun,
+                                            out.result.estimate,
+                                            CausalConfig{});
+        BudgetConfig budget;
+        budget.spec.flashPages = 1;
+        out.budget = pipeline.planBudget(out.result.estimate, budget);
+        out.result.outcomes.push_back(
+            pipeline.evaluate("budget", out.budget.orders));
+        return out;
+    };
 
-    auto rs = TomographyPipeline(workloads::makeCrc16(), serial_config).run();
-    auto rp =
-        TomographyPipeline(workloads::makeCrc16(), parallel_config).run();
-    ASSERT_EQ(rp.outcomes.size(), 6u);
-    EXPECT_EQ(rp.outcomes.back().name, "budget");
-    expectSameResult(rs, rp, "crc16");
-    EXPECT_EQ(rs.budget.plan.assignment.choice,
-              rp.budget.plan.assignment.choice);
-    EXPECT_EQ(rs.transport.recordsDelivered, rp.transport.recordsDelivered);
+    auto cs = compose(1);
+    auto cp = compose(4);
+    ASSERT_EQ(cp.result.outcomes.size(), 6u);
+    EXPECT_EQ(cp.result.outcomes.back().name, "budget");
+    expectSameResult(cs.result, cp.result, "crc16");
+    EXPECT_EQ(cs.budget.plan.assignment.choice,
+              cp.budget.plan.assignment.choice);
+    EXPECT_EQ(cs.transport.recordsDelivered, cp.transport.recordsDelivered);
+    EXPECT_EQ(cs.causal.toJson(), cp.causal.toJson());
     EXPECT_GE(obs::metrics().histogram("pipeline.evaluate_us").count(), 12u);
 }
 

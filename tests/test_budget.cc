@@ -4,7 +4,7 @@
  * identities (zero budget keeps the deployed layout bitwise, an
  * unlimited budget reproduces the unconstrained tomography placement),
  * hand-built solver corners (single-group agreement, gcd quantization,
- * the binding/deferred report), the pipeline's budget stage, the
+ * the binding/deferred report), the pipeline's planBudget call, the
  * budgeted continuous-PGO trigger path, and the heterogeneous-fleet
  * planner end to end.
  */
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "api/pipeline.hh"
+#include "api/report.hh"
 #include "budget/budget.hh"
 #include "fleet/fleet.hh"
 #include "pgo/pgo.hh"
@@ -57,27 +58,40 @@ group(ir::ProcId proc, std::vector<budget::Candidate> upgrades)
     return g;
 }
 
-api::PipelineConfig
-budgetConfig(const budget::BudgetSpec &spec)
+/** A pipeline run plus a budget plan from its estimate, evaluated as
+ *  the appended "budget" outcome. */
+struct BudgetedRun
+{
+    api::PipelineResult result;
+    api::BudgetOutcome budget;
+};
+
+BudgetedRun
+runBudgeted(const workloads::Workload &workload,
+            const budget::BudgetSpec &spec)
 {
     api::PipelineConfig config;
     config.measureInvocations = 800;
     config.evalInvocations = 1500;
     config.seed = 3;
-    config.budget.enabled = true;
-    config.budget.spec = spec;
-    return config;
+    api::TomographyPipeline pipeline(workload, config);
+    BudgetedRun out;
+    out.result = pipeline.run();
+    api::BudgetConfig budget_cfg;
+    budget_cfg.spec = spec;
+    out.budget = pipeline.planBudget(out.result.estimate, budget_cfg);
+    out.result.outcomes.push_back(
+        pipeline.evaluate("budget", out.budget.orders));
+    return out;
 }
 
 TEST(Budget, ZeroBudgetKeepsNaturalBitwise)
 {
-    api::TomographyPipeline pipeline(workloads::makeEventDispatch(),
-                                     budgetConfig(budget::BudgetSpec::zero()));
-    auto result = pipeline.run();
+    auto [result, chosen] = runBudgeted(workloads::makeEventDispatch(),
+                                        budget::BudgetSpec::zero());
 
-    ASSERT_TRUE(result.budget.enabled);
-    EXPECT_EQ(result.budget.plan.upgrades, 0u);
-    for (const auto &order : result.budget.orders)
+    EXPECT_EQ(chosen.plan.upgrades, 0u);
+    for (const auto &order : chosen.orders)
         EXPECT_TRUE(order.empty());
 
     // Empty orders lower to the natural layout, so the evaluated
@@ -97,19 +111,17 @@ TEST(Budget, UnlimitedBudgetMatchesTomographyPlacement)
     // tomography placement, evaluated bitwise.
     for (auto workload :
          {workloads::makeEventDispatch(), workloads::makeCrc16()}) {
-        api::TomographyPipeline pipeline(
-            workload, budgetConfig(budget::BudgetSpec::unlimited()));
-        auto result = pipeline.run();
+        auto [result, chosen] =
+            runBudgeted(workload, budget::BudgetSpec::unlimited());
 
-        ASSERT_TRUE(result.budget.enabled);
         const auto &tomography = result.outcome("tomography");
         const auto &budgeted = result.outcome("budget");
         EXPECT_EQ(budgeted.totalCycles, tomography.totalCycles)
             << workload.name;
         EXPECT_EQ(budgeted.mispredicted, tomography.mispredicted)
             << workload.name;
-        EXPECT_FALSE(result.budget.plan.flashBinding) << workload.name;
-        EXPECT_EQ(result.budget.plan.deferred, 0u) << workload.name;
+        EXPECT_FALSE(chosen.plan.flashBinding) << workload.name;
+        EXPECT_EQ(chosen.plan.deferred, 0u) << workload.name;
     }
 }
 
@@ -174,19 +186,23 @@ TEST(Budget, BindingAndDeferredReported)
 
 TEST(Budget, PipelineStageEvaluatesBudgetOutcome)
 {
-    api::TomographyPipeline pipeline(workloads::makeEventDispatch(),
-                                     budgetConfig(flashOnly(64)));
-    auto result = pipeline.run();
+    auto workload = workloads::makeEventDispatch();
+    auto [result, chosen] = runBudgeted(workload, flashOnly(64));
 
-    ASSERT_TRUE(result.budget.enabled);
     ASSERT_EQ(result.outcomes.size(), 6u);
     EXPECT_NO_FATAL_FAILURE(result.outcome("budget"));
-    EXPECT_EQ(result.budget.choices.size(), result.budget.groups);
-    EXPECT_LE(result.budget.plan.assignment.usage.flashBytes, 64u);
-    EXPECT_GT(result.budget.baselineCyclesPerEvent, 0.0);
+    EXPECT_EQ(chosen.choices.size(), chosen.groups);
+    EXPECT_LE(chosen.plan.assignment.usage.flashBytes, 64u);
+    EXPECT_GT(chosen.baselineCyclesPerEvent, 0.0);
     // The plan's orders cover every procedure slot.
-    EXPECT_EQ(result.budget.orders.size(),
-              pipeline.workload().module->procedureCount());
+    EXPECT_EQ(chosen.orders.size(),
+              workload.module->procedureCount());
+
+    // The report section prints the plan and what bound it.
+    auto text = api::renderBudget(chosen);
+    EXPECT_NE(text.find("budgeted placement (" + chosen.plan.solver),
+              std::string::npos);
+    EXPECT_NE(text.find("binding constraints:"), std::string::npos);
 }
 
 TEST(Budget, PgoBudgetedTriggerHonorsZeroBudget)

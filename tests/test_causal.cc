@@ -3,7 +3,7 @@
  * Unit tests for ct::causal: hand-computed what-if deltas on a module
  * small enough to price by eye, the flat-vs-causal ranking flip the
  * profiler exists to expose, export validity (JSON/CSV), and the
- * pipeline's causalProfile stage end to end.
+ * pipeline's causalProfile call end to end.
  */
 
 #include <cmath>
@@ -237,13 +237,13 @@ TEST(Causal, PipelineStageProducesRankingReportAndExports)
     config.evalInvocations = 800;
     config.sim.cyclesPerTick = 1;
     config.seed = 11;
-    config.causalProfile.enabled = true;
-    config.causalProfile.useTrueProfile = true;
-    config.causalProfile.perBlock = true;
+    api::CausalConfig causal_cfg;
+    causal_cfg.useTrueProfile = true;
+    causal_cfg.perBlock = true;
     std::string json_path = testing::TempDir() + "ct_causal_pipeline.json";
     std::string csv_path = testing::TempDir() + "ct_causal_pipeline.csv";
-    config.causalProfile.jsonOut = json_path;
-    config.causalProfile.csvOut = csv_path;
+    causal_cfg.jsonOut = json_path;
+    causal_cfg.csvOut = csv_path;
     std::string metrics_path = testing::TempDir() + "ct_causal_metrics.json";
     config.metricsOut = metrics_path;
 
@@ -251,16 +251,21 @@ TEST(Causal, PipelineStageProducesRankingReportAndExports)
     api::TomographyPipeline pipeline(workload, config);
     obs::metrics().clear();
     auto result = pipeline.run();
+    // run() left metrics recording on; export again once the causal
+    // call has recorded too.
+    auto profile = pipeline.causalProfile(result.measureRun, result.estimate,
+                                          causal_cfg);
+    obs::metrics().writeJson(metrics_path);
     obs::setMetricsEnabled(false);
 
-    ASSERT_FALSE(result.causal.procs.empty());
-    EXPECT_EQ(result.causal.workload, workload.name);
-    EXPECT_GT(result.causal.baselineCyclesPerEvent, 0.0);
+    ASSERT_FALSE(profile.procs.empty());
+    EXPECT_EQ(profile.workload, workload.name);
+    EXPECT_GT(profile.baselineCyclesPerEvent, 0.0);
 
-    // The report prints the ranking.
-    auto text = renderReport(workload, config, result);
+    // The report section prints the ranking.
+    auto text = api::renderCausal(profile);
     EXPECT_NE(text.find("causal what-if ranking"), std::string::npos);
-    EXPECT_NE(text.find(result.causal.procs[0].name), std::string::npos);
+    EXPECT_NE(text.find(profile.procs[0].name), std::string::npos);
 
     // The JSON export landed and parses.
     std::ifstream in(json_path);
@@ -271,8 +276,7 @@ TEST(Causal, PipelineStageProducesRankingReportAndExports)
     testjson::Parser parser(json);
     auto root = parser.parse();
     ASSERT_NE(root, nullptr) << parser.error();
-    EXPECT_EQ(root->get("procs")->array.size(),
-              result.causal.procs.size());
+    EXPECT_EQ(root->get("procs")->array.size(), profile.procs.size());
 
     // causal.* metrics reached the registry export.
     std::ifstream metrics_in(metrics_path);
@@ -295,12 +299,13 @@ TEST(Causal, EstimatedThetaStageRunsOnEveryWorkload)
         config.evalInvocations = 300;
         config.sim.cyclesPerTick = 1;
         config.seed = 5;
-        config.causalProfile.enabled = true;
         api::TomographyPipeline pipeline(workloads::workloadByName(name),
                                          config);
         auto result = pipeline.run();
-        EXPECT_FALSE(result.causal.procs.empty()) << name;
-        EXPECT_GT(result.causal.baselineCyclesPerEvent, 0.0) << name;
+        auto profile = pipeline.causalProfile(
+            result.measureRun, result.estimate, api::CausalConfig{});
+        EXPECT_FALSE(profile.procs.empty()) << name;
+        EXPECT_GT(profile.baselineCyclesPerEvent, 0.0) << name;
     }
 }
 

@@ -2,8 +2,8 @@
  * @file
  * Tests for ct::fleet sharded collection: ShardLayout's partition of
  * the id space, bitwise equivalence of the sharded pipeline to one
- * unsharded collector (snapshots, digests, stats), both locking modes,
- * per-shard durable recovery, the campaign driver's determinism across
+ * unsharded collector (snapshots, digests, stats), per-shard durable
+ * recovery, the campaign driver's determinism across
  * shard counts and jobs, and the per-shard store metric scopes.
  */
 
@@ -179,27 +179,6 @@ TEST(Fleet, ShardedMatchesUnshardedBitwise)
     auto folded = fx.makeBank();
     sharded.mergeInto(folded);
     EXPECT_TRUE(folded.snapshot() == reference_bank.snapshot());
-}
-
-TEST(Fleet, GlobalLockingMatchesPerShard)
-{
-    FleetFixture fx;
-    auto frames = fx.interleavedFrames(kFourWayMotes);
-
-    uint64_t digests[2];
-    for (Locking locking : {Locking::PerShard, Locking::Global}) {
-        ShardedCollectorConfig config;
-        config.shards = 4;
-        config.locking = locking;
-        auto sharded = fx.makeSharded(config);
-        for (const auto &frame : frames)
-            sharded.offer(frame);
-        for (uint16_t mote : kFourWayMotes)
-            sharded.finalizeMote(mote);
-        digests[locking == Locking::Global] =
-            snapshotDigest(sharded.mergedSnapshot());
-    }
-    EXPECT_EQ(digests[0], digests[1]);
 }
 
 TEST(Fleet, EvictionDropsCollectorStateKeepsEstimators)

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the fleet driver and the pipeline transport stage:
+ * Tests for the fleet driver and the pipeline's transport call:
  * jobs-count invariance (the subsystem's determinism contract),
  * delivery under loss, graceful fire-and-forget degradation, and the
  * net.* observability counters.
@@ -140,31 +140,26 @@ TEST(NetFleet, PipelineTransportStageFeedsEstimator)
     config.measureInvocations = 300;
     config.evalInvocations = 300;
     config.jobs = 1;
-    config.transport.enabled = true;
-    config.transport.channel.dropRate = 0.15;
-    config.transport.channel.reorderWindow = 2;
-    config.transport.channel.bitFlipRate = 0.02;
+    api::TransportConfig transport;
+    transport.channel.dropRate = 0.15;
+    transport.channel.reorderWindow = 2;
+    transport.channel.bitFlipRate = 0.02;
 
     api::TomographyPipeline pipeline(
         workloads::workloadByName("event_dispatch"), config);
     auto result = pipeline.run();
+    api::TransportOutcome outcome;
+    auto delivered =
+        pipeline.transport(result.measureRun.trace, transport, outcome);
 
-    EXPECT_TRUE(result.transport.enabled);
-    EXPECT_TRUE(result.transport.complete); // retransmits on by default
-    EXPECT_GT(result.transport.packets, 0u);
-    EXPECT_EQ(result.transport.recordsDelivered,
-              result.transport.recordsSent);
-    EXPECT_GT(result.transport.channel.dropped, 0u);
-    // Complete transport delivers the identical trace, so estimation
-    // quality is unchanged from the direct path.
+    EXPECT_TRUE(outcome.complete); // retransmits on by default
+    EXPECT_GT(outcome.packets, 0u);
+    EXPECT_EQ(outcome.recordsDelivered, outcome.recordsSent);
+    EXPECT_GT(outcome.channel.dropped, 0u);
+    // Complete transport delivers the identical trace, so the estimate
+    // from what the sink received is the direct one, bit for bit.
+    auto estimate = pipeline.estimate(delivered);
+    EXPECT_EQ(estimate.thetas, result.estimate.thetas);
     EXPECT_LT(result.branchMaxError, 0.1);
     EXPECT_EQ(result.outcomes.size(), 5u);
-
-    // Disabled transport leaves the outcome inert.
-    config.transport.enabled = false;
-    api::TomographyPipeline direct(
-        workloads::workloadByName("event_dispatch"), config);
-    auto direct_result = direct.run();
-    EXPECT_FALSE(direct_result.transport.enabled);
-    EXPECT_EQ(direct_result.transport.packets, 0u);
 }

@@ -143,23 +143,27 @@ TEST(Pgo, PipelineStageInheritsKnobsAndMatchesPlacement)
     api::PipelineConfig cfg;
     cfg.seed = 5;
     cfg.measureInvocations = 400;
-    cfg.pgo.enabled = true;
-    cfg.pgo.windowInvocations = 100;
-    cfg.pgo.regimes = {pgo::Regime{.windows = 2}};
     api::TomographyPipeline pipeline(workload, cfg);
-    auto result = pipeline.run();
 
-    ASSERT_TRUE(result.pgo.enabled);
-    EXPECT_EQ(result.pgo.result.windows, 2u);
-    EXPECT_FALSE(result.pgo.result.decisionLog.empty());
-    // The stage inherits estimator/sim/seed/measureInvocations, so
-    // the controller's bootstrap placement is the pipeline's own
+    // A controller given the pipeline's estimator, sim config, seed
+    // and measureInvocations bootstraps from the pipeline's own
     // "tomography" candidate bitwise.
+    pgo::PgoConfig loop_cfg;
+    loop_cfg.estimator = cfg.estimator;
+    loop_cfg.estimatorOptions = cfg.estimatorOptions;
+    loop_cfg.sim = cfg.sim;
+    loop_cfg.seed = cfg.seed;
+    loop_cfg.measureInvocations = cfg.measureInvocations;
+    loop_cfg.windowInvocations = 100;
+    loop_cfg.regimes = {pgo::Regime{.windows = 2}};
+    auto result = pgo::ContinuousPgo(workload, loop_cfg).run();
+
+    EXPECT_EQ(result.windows, 2u);
+    EXPECT_FALSE(result.decisionLog.empty());
     auto run = pipeline.measure();
     auto estimate = pipeline.estimate(run.trace);
     auto orders = pipeline.optimize(estimate.profile);
-    EXPECT_EQ(result.pgo.result.initialLayoutDigest,
-              pgo::layoutDigest(orders));
+    EXPECT_EQ(result.initialLayoutDigest, pgo::layoutDigest(orders));
 }
 
 } // namespace

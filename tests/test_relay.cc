@@ -6,11 +6,13 @@
  * lossy link, the three adopt paths (bank restore, bank merge, store
  * checkpoint with zero WAL replay), snapshot-only estimation, tree
  * topology validation, a small end-to-end aggregation campaign, and
- * the pipeline's opt-in relay stage. The randomized versions of the
+ * relay shipping composed around a pipeline run. The randomized
+ * versions of the
  * load-bearing invariants live in tests/prop_relay.cc.
  */
 
 #include <filesystem>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -449,6 +451,55 @@ TEST(RelayTree, RootDigestMatchesFlatReplay)
     }
 }
 
+/**
+ * What a deployment composes around a pipeline run: the sink condenses
+ * the measured records into an estimator bank, snapshots it, and ships
+ * the snapshot up @p hops chained lossy links (sink -> region -> root),
+ * each tier re-shipping exactly what it adopted.
+ */
+struct RelayedRun
+{
+    api::PipelineResult result;
+    uint64_t sourceDigest = 0;
+    size_t slots = 0;
+    std::vector<relay::ShipOutcome> shipments;
+    /** The root's adopted snapshot; nullopt when a hop failed. */
+    std::optional<relay::Snapshot> root;
+};
+
+RelayedRun
+relayRun(api::TomographyPipeline &pipeline, size_t hops,
+         const relay::ShipConfig &ship)
+{
+    const auto &workload = pipeline.workload();
+    const auto &config = pipeline.config();
+    RelayedRun out;
+    out.result = pipeline.run();
+
+    auto lowered = sim::lowerModule(*workload.module);
+    net::EstimatorBank bank(*workload.module, lowered, config.sim.costs,
+                            config.sim.policy, config.sim.cyclesPerTick,
+                            config.estimatorOptions,
+                            2.0 * double(config.sim.costs.timerRead));
+    for (const auto &record : out.result.measureRun.trace.records())
+        bank.observe(1, record);
+    auto snapshot = relay::snapshotFromBank(bank, config.seed, 0);
+    out.sourceDigest = snapshot.digest();
+    out.slots = snapshot.slots.size();
+    for (size_t hop = 0; hop < hops; ++hop) {
+        snapshot.sourceNode = uint16_t(hop);
+        out.shipments.emplace_back();
+        auto received = relay::shipAndReceive(
+            snapshot, ship, config.seed + 0x9e3779b97f4a7c15ULL * hop,
+            out.shipments.back());
+        if (!received)
+            return out;
+        snapshot = std::move(*received);
+    }
+    out.root = std::move(snapshot);
+    return out;
+}
+
 TEST(RelayPipeline, RelayStagePreservesTheDigest)
 {
     auto dir = scratchDir("pipeline");
@@ -460,29 +511,29 @@ TEST(RelayPipeline, RelayStagePreservesTheDigest)
     config.measureInvocations = 120;
     config.evalInvocations = 150;
     config.jobs = 1;
-    config.relay.enabled = true;
-    config.relay.hops = 2;
-    config.relay.ship.channel.dropRate = 0.2;
-    config.relay.snapshotOut = snapshot_path;
+    relay::ShipConfig ship;
+    ship.channel.dropRate = 0.2;
 
     api::TomographyPipeline pipeline(
         workloads::workloadByName("event_dispatch"), config);
-    auto result = pipeline.run();
+    auto relayed = relayRun(pipeline, 2, ship);
 
-    ASSERT_TRUE(result.relay.enabled);
-    ASSERT_TRUE(result.relay.adopted);
-    EXPECT_TRUE(result.relay.digestMatch);
-    EXPECT_EQ(result.relay.sourceDigest, result.relay.rootDigest);
-    EXPECT_EQ(result.relay.hops, 2u);
-    EXPECT_EQ(result.relay.shipments.size(), 2u);
-    EXPECT_GT(result.relay.slots, 0u);
-    EXPECT_GT(result.relay.totalWireBytes(), 0u);
-    EXPECT_FALSE(result.relay.estimateFromSnapshot);
+    ASSERT_TRUE(relayed.root.has_value());
+    EXPECT_EQ(relayed.sourceDigest, relayed.root->digest());
+    ASSERT_EQ(relayed.shipments.size(), 2u);
+    uint64_t wire_bytes = 0;
+    for (const auto &hop : relayed.shipments) {
+        EXPECT_TRUE(hop.adopted);
+        wire_bytes += hop.wireBytes;
+    }
+    EXPECT_GT(relayed.slots, 0u);
+    EXPECT_GT(wire_bytes, 0u);
 
     // The exported root snapshot feeds a fresh pipeline's estimate.
+    relay::writeSnapshotFile(snapshot_path, *relayed.root);
     auto shipped = relay::readSnapshotFile(snapshot_path);
     ASSERT_TRUE(shipped.has_value());
-    EXPECT_EQ(shipped->digest(), result.relay.rootDigest);
+    EXPECT_EQ(shipped->digest(), relayed.root->digest());
     auto adopted = pipeline.adoptFromSnapshotFile(snapshot_path);
     ASSERT_TRUE(adopted.has_value());
     EXPECT_EQ(adopted->profile.size(),
@@ -500,19 +551,21 @@ TEST(RelayPipeline, SnapshotDerivedEstimateFeedsPlacement)
     config.measureInvocations = 120;
     config.evalInvocations = 150;
     config.jobs = 1;
-    config.relay.enabled = true;
-    config.relay.hops = 1;
-    config.relay.estimateFromSnapshot = true;
 
     api::TomographyPipeline pipeline(
         workloads::workloadByName("event_dispatch"), config);
-    auto result = pipeline.run();
-    ASSERT_TRUE(result.relay.adopted);
-    EXPECT_TRUE(result.relay.estimateFromSnapshot);
-    EXPECT_TRUE(result.relay.digestMatch);
-    EXPECT_EQ(result.estimate.profile.size(),
-              workloads::workloadByName("event_dispatch")
-                  .module->procedureCount());
+    auto relayed = relayRun(pipeline, 1, relay::ShipConfig{});
+    ASSERT_TRUE(relayed.root.has_value());
+    EXPECT_EQ(relayed.sourceDigest, relayed.root->digest());
+
+    // The root optimizes from exactly what survived the relay.
+    auto estimate = pipeline.adoptFromSnapshot(*relayed.root);
+    size_t procs = pipeline.workload().module->procedureCount();
+    EXPECT_EQ(estimate.profile.size(), procs);
+    auto orders = pipeline.optimize(estimate.profile);
+    EXPECT_EQ(orders.size(), procs);
+    auto outcome = pipeline.evaluate("relayed", orders);
+    EXPECT_GT(outcome.totalCycles, 0u);
 }
 
 TEST(RelaySnapshot, FileRoundTripsAndRejectsDamage)

@@ -224,21 +224,21 @@ TEST(StoreRecovery, RestartedSinkConvergesToUninterruptedEstimates)
     // durable prefix, collects the rest, and the estimate must equal
     // the uninterrupted run's bitwise.
     auto dir = scratchDir("pipeline");
-    auto make_pipeline = [&](bool with_store, bool resume) {
-        api::PipelineConfig config;
-        config.seed = 7;
-        config.measureInvocations = 120;
-        config.transport.enabled = true;
+    api::PipelineConfig config;
+    config.seed = 7;
+    config.measureInvocations = 120;
+    api::TomographyPipeline pipeline(workloads::workloadByName("crc16"),
+                                     config);
+    auto link = [&](bool with_store, bool resume) {
+        api::TransportConfig transport;
         if (with_store) {
-            config.transport.storeDir = dir;
-            config.transport.resumeFromStore = resume;
+            transport.collector.storeDir = dir;
+            transport.resumeFromStore = resume;
         }
-        return api::TomographyPipeline(workloads::workloadByName("crc16"),
-                                       config);
+        return transport;
     };
 
-    auto baseline = make_pipeline(false, false);
-    auto trace = baseline.measure().trace;
+    auto trace = pipeline.measure().trace;
     const auto &records = trace.records();
     size_t split = records.size() / 2;
     trace::TimingTrace first_half, second_half;
@@ -247,20 +247,20 @@ TEST(StoreRecovery, RestartedSinkConvergesToUninterruptedEstimates)
 
     // Uninterrupted reference: the whole trace over one link.
     api::TransportOutcome whole_outcome;
-    auto whole = baseline.transport(trace, whole_outcome);
-    auto reference = baseline.estimate(whole);
+    auto whole =
+        pipeline.transport(trace, link(false, false), whole_outcome);
+    auto reference = pipeline.estimate(whole);
 
     // Interrupted run: first half persisted, process dies, second
     // half collected by a fresh sink resuming from the store.
     {
-        auto before = make_pipeline(true, false);
         api::TransportOutcome outcome;
-        before.transport(first_half, outcome);
+        pipeline.transport(first_half, link(true, false), outcome);
         EXPECT_EQ(outcome.recordsPersisted, first_half.size());
     }
-    auto after = make_pipeline(true, true);
     api::TransportOutcome resumed_outcome;
-    auto combined = after.transport(second_half, resumed_outcome);
+    auto combined =
+        pipeline.transport(second_half, link(true, true), resumed_outcome);
     EXPECT_EQ(resumed_outcome.recordsRecovered, first_half.size());
     ASSERT_EQ(combined.size(), trace.size());
     for (size_t i = 0; i < combined.size(); ++i) {
@@ -269,7 +269,7 @@ TEST(StoreRecovery, RestartedSinkConvergesToUninterruptedEstimates)
         EXPECT_EQ(combined[i].endTick, whole[i].endTick);
         EXPECT_EQ(combined[i].invocation, whole[i].invocation);
     }
-    auto resumed = after.estimate(combined);
+    auto resumed = pipeline.estimate(combined);
     ASSERT_EQ(resumed.thetas.size(), reference.thetas.size());
     for (size_t p = 0; p < reference.thetas.size(); ++p)
         EXPECT_EQ(resumed.thetas[p], reference.thetas[p]) << "proc " << p;
